@@ -174,10 +174,10 @@ fn args_json(fields: &[(&'static str, String)], extra: &[(&'static str, String)]
 /// "metrics" carries "C" counter samples.
 pub fn export_chrome_trace(events: &[Event]) -> String {
     // Assign resource lanes deterministically: sorted by (name, slot).
-    let mut lanes: BTreeMap<(String, u32), u32> = BTreeMap::new();
+    let mut lanes: BTreeMap<(&str, u32), u32> = BTreeMap::new();
     for ev in events {
         if let EventKind::ResourceBusy { resource, slot, .. } = &ev.kind {
-            let key = (resource.clone(), *slot);
+            let key = (*resource, *slot);
             let next = lanes.len() as u32 + 1;
             lanes.entry(key).or_insert(next);
         }
@@ -251,7 +251,7 @@ pub fn export_chrome_trace(events: &[Event]) -> String {
                 end_ns,
             } => format!(
                 "{{\"ph\":\"X\",\"pid\":{PID_RES},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"serve\",\"args\":{{\"req\":{}}}}}",
-                lanes[&(resource.clone(), *slot)],
+                lanes[&(*resource, *slot)],
                 ts_us(*start_ns),
                 ts_us(end_ns.saturating_sub(*start_ns)),
                 ev.req,
@@ -457,7 +457,7 @@ mod tests {
             ],
         });
         r.emit(EventKind::ResourceBusy {
-            resource: "app-cpu".to_string(),
+            resource: "app-cpu",
             slot: 0,
             start_ns: 2_000,
             end_ns: 3_000,
@@ -548,8 +548,8 @@ mod tests {
 
     #[test]
     fn resource_lanes_sorted_not_first_seen() {
-        let mk = |name: &str| EventKind::ResourceBusy {
-            resource: name.to_string(),
+        let mk = |name: &'static str| EventKind::ResourceBusy {
+            resource: name,
             slot: 0,
             start_ns: 0,
             end_ns: 1,

@@ -102,7 +102,7 @@ pub enum EventKind {
     /// A FIFO resource served one job over an exact busy interval.
     ResourceBusy {
         /// Resource name ("app-cpu", "storage-tx", ...).
-        resource: String,
+        resource: &'static str,
         /// Server slot within the resource.
         slot: u32,
         /// Busy-start instant, simulated ns.

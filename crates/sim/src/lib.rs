@@ -12,9 +12,10 @@
 //!
 //! Design notes:
 //!
-//! * The engine is fully deterministic: events at equal timestamps are
-//!   ordered by insertion sequence number, and all randomness flows from
-//!   seeded [`rng::SplitMix64`] streams.
+//! * The event queue ([`queue::EventQueue`]) is fully deterministic:
+//!   events are small `Copy` values of the engine's own type, and events
+//!   at equal timestamps are ordered by `(lane, push sequence)`. All
+//!   randomness flows from seeded [`rng::SplitMix64`] streams.
 //! * Resources use exact virtual-time FIFO service ([`resource::Resource`]):
 //!   a job arriving at `t` with demand `d` completes at
 //!   `max(t, next_free) + d`. This is an exact simulation of a
@@ -23,23 +24,38 @@
 //!
 //! # Examples
 //!
+//! An engine defines its events as an enum and dispatches them in a loop:
+//!
 //! ```
-//! use sim::engine::Engine;
+//! use sim::queue::EventQueue;
 //! use sim::time::{Duration, SimTime};
 //!
-//! let mut engine: Engine<u64> = Engine::new(0);
-//! engine.schedule(Duration::from_micros(5), |world, sched| {
-//!     *world += 1;
-//!     sched.schedule_in(Duration::from_micros(5), |world, _| *world += 10);
-//! });
-//! engine.run();
-//! assert_eq!(*engine.world(), 11);
-//! assert_eq!(engine.now(), SimTime::from_micros(10));
+//! #[derive(Clone, Copy)]
+//! enum Ev {
+//!     Tick,
+//!     Add(u64),
+//! }
+//!
+//! let mut q = EventQueue::new();
+//! q.push(SimTime::from_micros(5), 0, Ev::Tick);
+//! let mut world = 0u64;
+//! while let Some(ev) = q.pop() {
+//!     match ev {
+//!         Ev::Tick => {
+//!             world += 1;
+//!             q.push(q.now() + Duration::from_micros(5), 0, Ev::Add(10));
+//!         }
+//!         Ev::Add(n) => world += n,
+//!     }
+//! }
+//! assert_eq!(world, 11);
+//! assert_eq!(q.now(), SimTime::from_micros(10));
+//! assert_eq!(q.dispatched(), 2);
 //! ```
 
 pub mod costs;
-pub mod engine;
 pub mod fault;
+pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -47,8 +63,8 @@ pub mod sync;
 pub mod time;
 
 pub use costs::CostModel;
-pub use engine::{Engine, Scheduler};
 pub use fault::{FaultKind, FaultLink, FaultPlan, FaultSpec};
+pub use queue::{Arrivals, EventQueue, Next, Slab};
 pub use resource::Resource;
 pub use rng::SplitMix64;
 pub use sync::Shared;

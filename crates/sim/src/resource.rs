@@ -30,7 +30,7 @@ use crate::time::{Duration, SimTime};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Resource {
-    name: String,
+    name: &'static str,
     /// Earliest instant each server becomes free.
     free_at: Vec<SimTime>,
     busy: Duration,
@@ -47,10 +47,10 @@ impl Resource {
     /// # Panics
     ///
     /// Panics if `servers` is zero.
-    pub fn new(name: impl Into<String>, servers: usize) -> Self {
+    pub fn new(name: &'static str, servers: usize) -> Self {
         assert!(servers > 0, "a resource needs at least one server");
         Resource {
-            name: name.into(),
+            name,
             free_at: vec![SimTime::ZERO; servers],
             busy: Duration::ZERO,
             jobs: 0,
@@ -60,8 +60,8 @@ impl Resource {
     }
 
     /// The resource's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Emits every subsequent busy interval (server slot plus exact
@@ -101,7 +101,7 @@ impl Resource {
         if demand > Duration::ZERO {
             if let Some(rec) = &self.recorder {
                 rec.emit(obs::EventKind::ResourceBusy {
-                    resource: self.name.clone(),
+                    resource: self.name,
                     slot: slot as u32,
                     start_ns: start.as_nanos(),
                     end_ns: done.as_nanos(),
@@ -275,7 +275,7 @@ mod tests {
                 start_ns,
                 end_ns,
             } => {
-                assert_eq!(resource, "cpu");
+                assert_eq!(*resource, "cpu");
                 assert_eq!(*slot, 0);
                 assert_eq!(*start_ns, 110);
                 assert_eq!(*end_ns, 160);

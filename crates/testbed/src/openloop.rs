@@ -18,18 +18,18 @@
 //! function of `(rig, schedule, options)` — byte-deterministic at any
 //! host thread count, because nothing here spawns one.
 
-use std::collections::BTreeMap;
-
 use blockdev::{DiskModel, Raid0};
 use sim::costs::CostModel;
-use sim::engine::{Engine, Scheduler};
+use sim::queue::{Arrivals, EventQueue, Next, Slab};
 use sim::stats::Throughput;
 use sim::time::SimTime;
 use sim::{Resource, SplitMix64};
 use workload::arrivals::{poisson_arrivals, BurstConfig};
 use workload::zipf::Zipf;
 
-use crate::runner::{classify_path, op_label, stage_chains, DriverOp, Res, RigDriver, Stage};
+use crate::runner::{
+    classify_path, emit_request, op_label, Chains, DriverOp, Res, RigDriver, Stage,
+};
 use crate::timing::derive;
 
 /// Open-loop driver configuration.
@@ -125,6 +125,9 @@ pub struct OpenLoopResult {
     /// Most transmissions any single request made (bounded by
     /// 1 + the retry budget; exactly 1 without a policy).
     pub max_attempts: u64,
+    /// Events the timing engine dispatched: arrivals, retransmissions,
+    /// stage steps and chain completions. A deterministic work count.
+    pub events: u64,
 }
 
 /// The slot a resource's busy intervals accumulate under; order matches
@@ -152,30 +155,54 @@ const SLOT_NAMES: [&str; 7] = [
     "disk",
 ];
 
+/// The stage-totals slot of a foreground stage: the resource slots, then
+/// the client's retry backoff.
+fn total_slot(stage: &str) -> usize {
+    match stage {
+        "client-backoff" => SLOT_NAMES.len(),
+        name => SLOT_NAMES
+            .iter()
+            .position(|&n| n == name)
+            .expect("open-loop stages are resource stages or client backoff"),
+    }
+}
+
 /// A foreground request in flight: identity, arrival instant, and the
 /// stage breakdown accumulated so far (telescoping to its latency).
+#[derive(Default)]
 struct Flight {
     payload: u64,
     start: SimTime,
     label: &'static str,
     path: &'static str,
-    stages: Vec<obs::StageNs>,
+    log: Vec<obs::StageNs>,
     /// The server admitted (some attempt of) the request; `false` means
     /// every transmission so far was rejected.
     delivered: bool,
-    /// Arrival index — keys the retry policy's backoff stream.
-    idx: u64,
+    /// Arrival index — the operation's position in the schedule, and
+    /// the key of the retry policy's backoff stream.
+    idx: usize,
     /// Transmissions performed so far (1 = the initial send).
     attempts: u64,
-    /// The operation, retained for retransmission after a rejection.
-    op: DriverOp,
+}
+
+/// What the open loop's queue holds besides the arrival schedule.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// A retransmission of a flight after its backoff.
+    Transmit(u32),
+    /// The next stage of a chain.
+    Step(u32),
 }
 
 struct World<R> {
     rig: R,
-    pending: Vec<Option<DriverOp>>,
+    ops: Vec<DriverOp>,
     costs: CostModel,
     rec: obs::Recorder,
+    queue: EventQueue<Ev>,
+    chains: Chains,
+    flights: Slab<Flight>,
     app_cpu: Resource,
     app_tx: Resource,
     app_rx: Resource,
@@ -185,7 +212,9 @@ struct World<R> {
     array: Raid0,
     meter: Throughput,
     latency: obs::Histogram,
-    stage_totals: BTreeMap<&'static str, (u64, u64)>,
+    /// Queue/service totals by [`total_slot`]; `None` until a recorded
+    /// request passes through the stage.
+    stage_totals: [Option<(u64, u64)>; 8],
     busy: [Vec<(u64, u64)>; 7],
     inflight: u64,
     peak_inflight: u64,
@@ -226,26 +255,32 @@ impl<R: RigDriver> World<R> {
     }
 }
 
+/// Adds a recorded request's stage breakdown to the run totals.
+fn add_stage_totals(totals: &mut [Option<(u64, u64)>; 8], log: &[obs::StageNs]) {
+    for st in log {
+        let t = totals[total_slot(st.stage)].get_or_insert((0, 0));
+        t.0 += st.queue_ns;
+        t.1 += st.service_ns;
+    }
+}
+
 /// Fires arrival `k`: opens the request's flight and performs its first
-/// transmission. Events fire in schedule order, so functional state
+/// transmission. Arrivals fire in schedule order, so functional state
 /// evolves deterministically.
-fn arrive<R: RigDriver + 'static>(w: &mut World<R>, s: &mut Scheduler<World<R>>, k: usize) {
-    let op = w.pending[k].take().expect("arrival fired twice");
-    let now = s.now();
+fn arrive<R: RigDriver>(w: &mut World<R>, k: usize) {
+    let now = w.queue.now();
     w.inflight += 1;
     w.peak_inflight = w.peak_inflight.max(w.inflight);
-    let fg = Flight {
-        payload: 0,
-        start: now,
-        label: op_label(&op),
-        path: "shed",
-        stages: Vec::new(),
-        delivered: false,
-        idx: k as u64,
-        attempts: 0,
-        op,
-    };
-    transmit(w, s, fg);
+    let f = w.flights.alloc();
+    let fg = &mut w.flights[f];
+    fg.payload = 0;
+    fg.start = now;
+    fg.label = op_label(&w.ops[k]);
+    fg.path = "shed";
+    fg.delivered = false;
+    fg.idx = k;
+    fg.attempts = 0;
+    transmit(w, f);
 }
 
 /// One transmission of a flight's operation, executed functionally at the
@@ -254,14 +289,15 @@ fn arrive<R: RigDriver + 'static>(w: &mut World<R>, s: &mut Scheduler<World<R>>,
 /// when the rejection reply reaches the client — see [`step`]). Either
 /// way the attempt's stage chain is scheduled, so rejection round trips
 /// consume the same simulated resources real ones do.
-fn transmit<R: RigDriver + 'static>(w: &mut World<R>, s: &mut Scheduler<World<R>>, mut fg: Flight) {
-    let now = s.now();
+fn transmit<R: RigDriver>(w: &mut World<R>, f: u32) {
+    let now = w.queue.now();
     w.rec.set_now(now.as_nanos());
     // The gate sees the depth of admitted requests currently in flight;
     // rejected/backing-off flights occupy the client, not the server
     // (counting them would turn every rejection into more rejections).
     w.rig.set_load(now.as_nanos(), w.server_inflight);
-    let (obs, payload) = w.rig.run_op(&fg.op);
+    let (obs, payload) = w.rig.run_op(&w.ops[w.flights[f].idx]);
+    let fg = &mut w.flights[f];
     fg.attempts += 1;
     if fg.attempts > 1 {
         w.retries += 1;
@@ -277,130 +313,128 @@ fn transmit<R: RigDriver + 'static>(w: &mut World<R>, s: &mut Scheduler<World<R>
         w.rig.per_request_ns(&w.costs)
     };
     let demands = derive(&w.costs, w.rig.transport(), per_request_ns, &obs);
-    let (stages, background) = stage_chains(&w.costs, &demands);
-    for bg in background {
-        s.schedule_at(now, move |w, s| step(w, s, bg, 0, None));
-    }
     if !obs.rejected {
         fg.delivered = true;
         fg.payload = payload;
         fg.path = classify_path(&obs);
         w.server_inflight += 1;
     }
-    s.schedule_at(now, move |w, s| step(w, s, stages, 0, Some(fg)));
+    let queue = &mut w.queue;
+    w.chains.open(&w.costs, &demands, f, |c, chain| {
+        chain.lane = 0;
+        queue.push(now, 0, Ev::Step(c));
+    });
 }
 
 /// Walks one stage of a chain, accumulating the foreground breakdown;
 /// an exhausted foreground chain records the completed request.
-fn step<R: RigDriver + 'static>(
-    w: &mut World<R>,
-    s: &mut Scheduler<World<R>>,
-    stages: Vec<Stage>,
-    cursor: usize,
-    mut foreground: Option<Flight>,
-) {
-    let now = s.now();
-    if cursor == stages.len() {
+fn step<R: RigDriver>(w: &mut World<R>, c: u32) {
+    let now = w.queue.now();
+    let chain = &mut w.chains[c];
+    let fg = chain.fg;
+    if chain.cursor == chain.stages.len() {
+        w.chains.close(c);
         w.end = w.end.max(now);
-        if let Some(mut fg) = foreground {
-            if !fg.delivered {
-                // The rejection reply just reached the client: back off
-                // and retransmit if the budget allows. The backoff is a
-                // pure client-side delay, recorded as a stage so the
-                // breakdown still telescopes to end-to-end latency.
-                if let Some(policy) = w.retry {
-                    // A retransmission that would resume past the
-                    // request's deadline cannot deliver useful work, so
-                    // the client sheds instead of adding load — the
-                    // graceful half of graceful shedding.
-                    let resume_ns = |backoff: u64| now.since(fg.start).as_nanos() + backoff;
-                    if fg.attempts <= u64::from(policy.budget) {
-                        let backoff = policy.backoff_ns(fg.idx, fg.attempts as u32);
-                        if w.deadline_ns == 0 || resume_ns(backoff) <= w.deadline_ns {
-                            fg.stages.push(obs::StageNs {
-                                stage: "client-backoff",
-                                queue_ns: 0,
-                                service_ns: backoff,
-                            });
-                            let at = now + sim::time::Duration::from_nanos(backoff);
-                            s.schedule_at(at, move |w, s| transmit(w, s, fg));
-                            return;
-                        }
-                    }
-                }
-            }
-            w.inflight -= 1;
-            if fg.delivered {
-                w.server_inflight -= 1;
-            }
-            let latency_ns = now.since(fg.start).as_nanos();
-            if !fg.delivered {
-                // Shed: every transmission was rejected. The request
-                // consumed client time and rejection round trips, but
-                // delivered nothing — it counts as a client-visible
-                // error, not goodput, and its (zero-latency-value)
-                // outcome stays out of the latency histogram.
-                w.shed += 1;
-                w.rec.add_counter("openloop.shed", 1);
-            } else if w.deadline_ns > 0 && latency_ns > w.deadline_ns {
-                // Late: the work was done, but past the client's
-                // deadline — the bytes are real yet worthless to the
-                // caller, so they count separately from goodput.
-                w.deadline_exceeded += 1;
-                w.late_bytes += fg.payload;
-                w.rec.add_counter("openloop.deadline_exceeded", 1);
-                w.latency.record(latency_ns);
-                for st in &fg.stages {
-                    let t = w.stage_totals.entry(st.stage).or_insert((0, 0));
-                    t.0 += st.queue_ns;
-                    t.1 += st.service_ns;
-                }
-            } else {
-                w.meter.record(fg.payload);
-                w.latency.record(latency_ns);
-                for st in &fg.stages {
-                    let t = w.stage_totals.entry(st.stage).or_insert((0, 0));
-                    t.0 += st.queue_ns;
-                    t.1 += st.service_ns;
-                }
-            }
-            w.rec.set_now(now.as_nanos());
-            w.rec.emit(obs::EventKind::Request {
-                op: fg.label,
-                path: fg.path,
-                start_ns: fg.start.as_nanos(),
-                end_ns: now.as_nanos(),
-                stages: fg.stages,
-            });
+        if let Some(f) = fg {
+            complete(w, f);
         }
         return;
     }
-    let stage = stages[cursor];
+    let stage = chain.stages[chain.cursor];
+    chain.cursor += 1;
     let (started, done) = w.serve(now, &stage);
-    if let Some(fg) = foreground.as_mut() {
-        fg.stages.push(obs::StageNs {
+    if let Some(f) = fg {
+        w.flights[f].log.push(obs::StageNs {
             stage: stage.res.name(),
             queue_ns: started.since(now).as_nanos(),
             service_ns: done.since(started).as_nanos(),
         });
     }
-    s.schedule_at(done, move |w, s| step(w, s, stages, cursor + 1, foreground));
+    w.queue.push(done, 0, Ev::Step(c));
+}
+
+/// A flight's chain drained: retransmit a rejected request if the retry
+/// policy allows, otherwise record the request as delivered, late or
+/// shed and free the flight.
+fn complete<R: RigDriver>(w: &mut World<R>, f: u32) {
+    let now = w.queue.now();
+    let fg = &mut w.flights[f];
+    if !fg.delivered {
+        // The rejection reply just reached the client: back off and
+        // retransmit if the budget allows. The backoff is a pure
+        // client-side delay, recorded as a stage so the breakdown still
+        // telescopes to end-to-end latency.
+        if let Some(policy) = w.retry {
+            // A retransmission that would resume past the request's
+            // deadline cannot deliver useful work, so the client sheds
+            // instead of adding load — the graceful half of graceful
+            // shedding.
+            let resume_ns = |backoff: u64| now.since(fg.start).as_nanos() + backoff;
+            if fg.attempts <= u64::from(policy.budget) {
+                let backoff = policy.backoff_ns(fg.idx as u64, fg.attempts as u32);
+                if w.deadline_ns == 0 || resume_ns(backoff) <= w.deadline_ns {
+                    fg.log.push(obs::StageNs {
+                        stage: "client-backoff",
+                        queue_ns: 0,
+                        service_ns: backoff,
+                    });
+                    let at = now + sim::time::Duration::from_nanos(backoff);
+                    w.queue.push(at, 0, Ev::Transmit(f));
+                    return;
+                }
+            }
+        }
+    }
+    w.inflight -= 1;
+    if fg.delivered {
+        w.server_inflight -= 1;
+    }
+    let latency_ns = now.since(fg.start).as_nanos();
+    if !fg.delivered {
+        // Shed: every transmission was rejected. The request consumed
+        // client time and rejection round trips, but delivered nothing —
+        // it counts as a client-visible error, not goodput, and its
+        // (zero-latency-value) outcome stays out of the latency
+        // histogram.
+        w.shed += 1;
+        w.rec.add_counter("openloop.shed", 1);
+    } else if w.deadline_ns > 0 && latency_ns > w.deadline_ns {
+        // Late: the work was done, but past the client's deadline — the
+        // bytes are real yet worthless to the caller, so they count
+        // separately from goodput.
+        w.deadline_exceeded += 1;
+        w.late_bytes += fg.payload;
+        w.rec.add_counter("openloop.deadline_exceeded", 1);
+        w.latency.record(latency_ns);
+        add_stage_totals(&mut w.stage_totals, &fg.log);
+    } else {
+        w.meter.record(fg.payload);
+        w.latency.record(latency_ns);
+        add_stage_totals(&mut w.stage_totals, &fg.log);
+    }
+    w.rec.set_now(now.as_nanos());
+    emit_request(&w.rec, fg.label, fg.path, fg.start, now, &mut fg.log);
+    w.flights.free(f);
 }
 
 /// Runs `ops` open-loop against `rig`, arrival `k` firing at
 /// `schedule[k]`. The schedule must be as long as `ops` and
 /// non-decreasing (the Poisson draws from [`workload::arrivals`] are).
+/// Arrivals stream from a cursor over the schedule; an arrival due at the
+/// same instant as a queued stage step fires first.
 ///
 /// # Panics
 ///
-/// Panics if `schedule` and `ops` differ in length.
-pub fn run_open_loop_at<R: RigDriver + 'static>(
+/// Panics if `schedule` and `ops` differ in length, or if `schedule`
+/// decreases anywhere.
+pub fn run_open_loop_at<R: RigDriver>(
     rig: R,
     ops: Vec<DriverOp>,
     schedule: &[SimTime],
     opts: &OpenLoopOptions,
 ) -> (R, OpenLoopResult) {
     assert_eq!(schedule.len(), ops.len(), "one arrival instant per op");
+    let mut arrivals = Arrivals::new(schedule);
     let rec = rig.recorder();
     let n = ops.len();
     let mut app_cpu = Resource::new("app-cpu", 1);
@@ -417,11 +451,14 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
         stor_tx.set_recorder(rec.clone());
         stor_rx.set_recorder(rec.clone());
     }
-    let world = World {
+    let mut w = World {
         rig,
-        pending: ops.into_iter().map(Some).collect(),
+        ops,
         costs: opts.costs.clone(),
         rec,
+        queue: EventQueue::new(),
+        chains: Chains::default(),
+        flights: Slab::new(),
         app_cpu,
         app_tx,
         app_rx,
@@ -431,7 +468,7 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
         array: Raid0::new(DiskModel::dtla_307075(), 4, 16),
         meter: Throughput::new(),
         latency: obs::Histogram::new(),
-        stage_totals: BTreeMap::new(),
+        stage_totals: [None; 8],
         busy: Default::default(),
         inflight: 0,
         peak_inflight: 0,
@@ -445,12 +482,13 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
         retries: 0,
         max_attempts: 0,
     };
-    let mut engine = Engine::new(world);
-    for (k, &at) in schedule.iter().enumerate() {
-        engine.schedule_at(at, move |w, s| arrive(w, s, k));
+    while let Some(next) = w.queue.pop_or_arrival(&mut arrivals) {
+        match next {
+            Next::Arrival(k) => arrive(&mut w, k),
+            Next::Event(Ev::Transmit(f)) => transmit(&mut w, f),
+            Next::Event(Ev::Step(c)) => step(&mut w, c),
+        }
     }
-    engine.run();
-    let w = engine.into_world();
     let elapsed = w.end;
     let span = schedule.last().map_or(SimTime::ZERO, |&t| t);
     let offered = if span > SimTime::ZERO {
@@ -458,24 +496,28 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
     } else {
         0.0
     };
-    let mut stages: Vec<obs::StageNs> = SLOT_NAMES
+    let stages: Vec<obs::StageNs> = SLOT_NAMES
         .iter()
-        .filter_map(|&name| {
-            w.stage_totals.get(name).map(|&(q, sv)| obs::StageNs {
-                stage: name,
-                queue_ns: q,
-                service_ns: sv,
+        .chain(["client-backoff"].iter())
+        .zip(w.stage_totals)
+        .filter_map(|(&stage, total)| {
+            total.map(|(queue_ns, service_ns)| obs::StageNs {
+                stage,
+                queue_ns,
+                service_ns,
             })
         })
         .collect();
-    if let Some(&(q, sv)) = w.stage_totals.get("client-backoff") {
-        stages.push(obs::StageNs {
-            stage: "client-backoff",
-            queue_ns: q,
-            service_ns: sv,
-        });
-    }
-    let (window_ns, timelines) = build_timelines(&w.busy, opts.nics, &w.array, elapsed);
+    let servers = [
+        opts.nics.max(1),
+        1,
+        opts.nics.max(1),
+        1,
+        1,
+        1,
+        w.array.disk_count(),
+    ];
+    let (window_ns, timelines) = build_timelines(&w.busy, servers, elapsed);
     let result = OpenLoopResult {
         offered_ops_per_sec: offered,
         goodput_mbs: w.meter.megabytes_per_sec(elapsed),
@@ -493,13 +535,14 @@ pub fn run_open_loop_at<R: RigDriver + 'static>(
         shed: w.shed,
         retries: w.retries,
         max_attempts: w.max_attempts,
+        events: w.queue.dispatched(),
     };
     (w.rig, result)
 }
 
 /// [`run_open_loop_at`] over a seeded Poisson schedule drawn from the
 /// options (see [`workload::arrivals::poisson_arrivals`]).
-pub fn run_open_loop<R: RigDriver + 'static>(
+pub fn run_open_loop<R: RigDriver>(
     rig: R,
     ops: Vec<DriverOp>,
     opts: &OpenLoopOptions,
@@ -530,11 +573,11 @@ pub fn zipf_reads(seed: u64, fh: u64, n: usize, file_bytes: u64, span: u32, alph
 }
 
 /// Buckets each resource's busy intervals into at most 32 equal-width
-/// occupancy windows over `[0, elapsed]`.
+/// occupancy windows over `[0, elapsed]`, in one pass over the intervals.
+/// `servers[i]` is the server count of the resource in slot `i`.
 fn build_timelines(
     busy: &[Vec<(u64, u64)>; 7],
-    nics: usize,
-    array: &Raid0,
+    servers: [usize; 7],
     elapsed: SimTime,
 ) -> (u64, Vec<ResourceTimeline>) {
     let elapsed_ns = elapsed.as_nanos();
@@ -543,24 +586,37 @@ fn build_timelines(
     }
     let width = elapsed_ns.div_ceil(32).max(1);
     let windows = elapsed_ns.div_ceil(width) as usize;
+    let bounds = |k: usize| {
+        let w0 = k as u64 * width;
+        (w0, (w0 + width).min(elapsed_ns))
+    };
     let timelines = SLOT_NAMES
         .iter()
-        .enumerate()
-        .map(|(i, &name)| {
-            let servers = match i {
-                0 | 2 => nics.max(1) as u64,
-                6 => array.disk_count() as u64,
-                _ => 1,
-            };
-            let util = (0..windows)
-                .map(|k| {
-                    let w0 = k as u64 * width;
-                    let w1 = ((k as u64 + 1) * width).min(elapsed_ns);
-                    let overlap: u64 = busy[i]
-                        .iter()
-                        .map(|&(s, e)| e.min(w1).saturating_sub(s.max(w0)))
-                        .sum();
-                    (overlap as f64 / ((w1 - w0).max(1) * servers) as f64).min(1.0)
+        .zip(busy)
+        .zip(servers)
+        .map(|((&name, intervals), servers)| {
+            let mut overlap = [0u64; 32];
+            for &(s, e) in intervals {
+                let e = e.min(elapsed_ns);
+                if s >= e {
+                    continue;
+                }
+                for (k, o) in overlap
+                    .iter_mut()
+                    .enumerate()
+                    .take(((e - 1) / width) as usize + 1)
+                    .skip((s / width) as usize)
+                {
+                    let (w0, w1) = bounds(k);
+                    *o += e.min(w1) - s.max(w0);
+                }
+            }
+            let util = overlap[..windows]
+                .iter()
+                .enumerate()
+                .map(|(k, &o)| {
+                    let (w0, w1) = bounds(k);
+                    (o as f64 / ((w1 - w0).max(1) * servers as u64) as f64).min(1.0)
                 })
                 .collect();
             ResourceTimeline {
@@ -577,6 +633,8 @@ fn build_timelines(
 mod tests {
     use super::*;
     use crate::nfs_rig::{NfsRig, NfsRigParams};
+    use check::gen::*;
+    use check::{prop_assert_eq, property};
     use servers::ServerMode;
 
     fn warm_rig(size: u64) -> (NfsRig, u64) {
@@ -779,5 +837,101 @@ mod tests {
         let a = once();
         let b = once();
         assert_eq!(a, b, "same inputs, byte-identical outcome");
+    }
+
+    #[test]
+    fn all_hit_4k_run_dispatches_five_events_per_request() {
+        // A resident 4 KB read walks app-rx, app-cpu and app-tx: one
+        // arrival, three stage steps and one completion.
+        let (rig, fh) = warm_rig(1 << 20);
+        let ops = zipf_reads(7, fh, 200, 1 << 20, 4 << 10, 0.8);
+        let opts = OpenLoopOptions {
+            mean_interarrival_ns: 20_000,
+            seed: 3,
+            ..OpenLoopOptions::default()
+        };
+        let (_rig, r) = run_open_loop(rig, ops, &opts);
+        assert_eq!(r.ops, 200);
+        assert!(
+            r.stages.iter().all(|s| s.stage.starts_with("app-")),
+            "all hits"
+        );
+        assert_eq!(r.events, 1_000);
+    }
+
+    /// The per-window computation the linear pass replaced: every window
+    /// rescans every interval. Kept as the oracle.
+    fn timelines_per_window(
+        busy: &[Vec<(u64, u64)>; 7],
+        servers: [usize; 7],
+        elapsed_ns: u64,
+    ) -> (u64, Vec<ResourceTimeline>) {
+        if elapsed_ns == 0 {
+            return (0, Vec::new());
+        }
+        let width = elapsed_ns.div_ceil(32).max(1);
+        let windows = elapsed_ns.div_ceil(width) as usize;
+        let timelines = SLOT_NAMES
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| {
+                let servers = servers[i] as u64;
+                let util = (0..windows)
+                    .map(|k| {
+                        let w0 = k as u64 * width;
+                        let w1 = ((k as u64 + 1) * width).min(elapsed_ns);
+                        let overlap: u64 = busy[i]
+                            .iter()
+                            .map(|&(s, e)| e.min(w1).saturating_sub(s.max(w0)))
+                            .sum();
+                        (overlap as f64 / ((w1 - w0).max(1) * servers) as f64).min(1.0)
+                    })
+                    .collect();
+                ResourceTimeline {
+                    resource: name,
+                    servers: servers as u32,
+                    util,
+                }
+            })
+            .collect();
+        (width, timelines)
+    }
+
+    property! {
+        #![cases(128)]
+
+        /// Intervals that span several windows, end exactly on a window
+        /// edge, or run past `elapsed`, over any `elapsed` (mostly not a
+        /// multiple of 32), bucket bit for bit as the per-window scan did.
+        fn prop_linear_timelines_match_the_per_window_oracle(
+            elapsed_ns in ints(0u64..10_000),
+            nics in ints(1usize..3),
+            intervals in vec_of(
+                (ints(0usize..7), ints(0u64..10_500), ints(1u64..3_000), any_bool()),
+                0..48,
+            ),
+        ) {
+            let width = elapsed_ns.div_ceil(32).max(1);
+            let mut busy: [Vec<(u64, u64)>; 7] = Default::default();
+            for &(slot, start, len, on_edge) in &intervals {
+                let mut end = start + len;
+                if on_edge {
+                    // Pull the end back onto the last window edge
+                    // after the start.
+                    end = (end / width * width).max(start + 1);
+                }
+                busy[slot].push((start, end));
+            }
+            let servers = [nics, 1, nics, 1, 1, 1, 4];
+            let (w_lin, lin) = build_timelines(&busy, servers, SimTime::from_nanos(elapsed_ns));
+            let (w_old, old) = timelines_per_window(&busy, servers, elapsed_ns);
+            prop_assert_eq!(w_lin, w_old);
+            prop_assert_eq!(lin.len(), old.len());
+            for (a, b) in lin.iter().zip(&old) {
+                prop_assert_eq!((a.resource, a.servers), (b.resource, b.servers));
+                let bits = |t: &ResourceTimeline| t.util.iter().map(|u| u.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(a), bits(b), "{} diverged", a.resource);
+            }
+        }
     }
 }

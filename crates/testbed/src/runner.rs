@@ -9,18 +9,16 @@
 //! FIFO service demands, and throughput/utilization emerge from whichever
 //! resource saturates.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use blockdev::{DiskModel, Raid0, TierConfig, TierStats, TieredArray};
 use sim::costs::CostModel;
+use sim::queue::{EventQueue, Slab};
 use sim::stats::{LatencyHistogram, Throughput};
 use sim::time::{Duration, SimTime};
 use sim::Resource;
 
 use crate::khttpd_rig::KhttpdRig;
 use crate::nfs_rig::NfsRig;
-use crate::timing::{coalesce, derive, Observation, Transport};
+use crate::timing::{coalesce, derive, Observation, RequestDemands, Transport};
 
 /// One operation the runner can replay.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -339,6 +337,9 @@ pub struct RunResult {
     pub timeline: Vec<TimelineSample>,
     /// Tier counters when the run used a tiered backend.
     pub tier: Option<TierStats>,
+    /// Events the timing engine dispatched: one per stage step plus one
+    /// per chain completion. A deterministic work count.
+    pub events: u64,
 }
 
 /// One interval of a run's completion-driven timeline.
@@ -506,16 +507,18 @@ pub(crate) struct Stage {
 }
 
 /// Builds the foreground stage chain plus any background write-behind
-/// chains for one executed request. Read bursts ride the foreground chain
-/// (the reply waits for them); write bursts flush on their own chains —
-/// they occupy the link, the storage CPU and the array but do not extend
-/// the request's latency.
+/// chains for one executed request, into the caller's (cleared) buffers.
+/// Read bursts ride the foreground chain (the reply waits for them);
+/// write bursts flush on their own chains — they occupy the link, the
+/// storage CPU and the array but do not extend the request's latency.
 pub(crate) fn stage_chains(
     costs: &CostModel,
-    demands: &crate::timing::RequestDemands,
-) -> (Vec<Stage>, Vec<Vec<Stage>>) {
-    let mut stages = Vec::with_capacity(4 + 5 * demands.bursts.len());
-    let mut background = Vec::new();
+    demands: &RequestDemands,
+    stages: &mut Vec<Stage>,
+    background: &mut Vec<[Stage; 4]>,
+) {
+    stages.clear();
+    background.clear();
     stages.push(Stage {
         res: Res::AppRx,
         demand: costs.link_tx_time(demands.request_bytes),
@@ -527,7 +530,7 @@ pub(crate) fn stage_chains(
     for (b, cpu) in &demands.bursts {
         let data_time = costs.link_tx_time(b.bytes());
         if b.is_write {
-            background.push(vec![
+            background.push([
                 Stage {
                     res: Res::AppTx,
                     demand: data_time,
@@ -580,7 +583,149 @@ pub(crate) fn stage_chains(
         res: Res::AppTx,
         demand: costs.link_tx_time(demands.reply_bytes),
     });
-    (stages, background)
+}
+
+/// A stage chain in flight: its stages, the next one to walk, the queue
+/// lane its events ride on, and the foreground request it carries —
+/// each engine's own index, a request slot or a session — or `None` for
+/// background write-behind.
+#[derive(Default)]
+pub(crate) struct Chain {
+    pub(crate) stages: Vec<Stage>,
+    pub(crate) cursor: usize,
+    pub(crate) lane: u64,
+    pub(crate) fg: Option<u32>,
+}
+
+/// The chains in flight, in a slab whose slots keep their stage buffers
+/// across requests.
+#[derive(Default)]
+pub(crate) struct Chains {
+    slab: Slab<Chain>,
+    background: Vec<[Stage; 4]>,
+}
+
+impl Chains {
+    /// Opens the chains of one executed request whose foreground state is
+    /// `fg`, calling `start` on each new chain in the order their first
+    /// steps must be queued: background write-behind first, foreground
+    /// last. `start` sets the chain's lane and queues its first step.
+    pub(crate) fn open(
+        &mut self,
+        costs: &CostModel,
+        demands: &RequestDemands,
+        fg: u32,
+        mut start: impl FnMut(u32, &mut Chain),
+    ) {
+        let f = self.slab.alloc();
+        let chain = &mut self.slab[f];
+        chain.cursor = 0;
+        chain.fg = Some(fg);
+        stage_chains(costs, demands, &mut chain.stages, &mut self.background);
+        for bg in &self.background {
+            let b = self.slab.alloc();
+            let chain = &mut self.slab[b];
+            chain.cursor = 0;
+            chain.fg = None;
+            chain.stages.clear();
+            chain.stages.extend_from_slice(bg);
+            start(b, chain);
+        }
+        start(f, &mut self.slab[f]);
+    }
+
+    /// Frees a drained chain's slot.
+    pub(crate) fn close(&mut self, c: u32) {
+        self.slab.free(c);
+    }
+}
+
+impl std::ops::Index<u32> for Chains {
+    type Output = Chain;
+    fn index(&self, c: u32) -> &Chain {
+        &self.slab[c]
+    }
+}
+
+impl std::ops::IndexMut<u32> for Chains {
+    fn index_mut(&mut self, c: u32) -> &mut Chain {
+        &mut self.slab[c]
+    }
+}
+
+/// Emits a completed request's span. The stage log moves into the event
+/// only when the recorder keeps events; otherwise it is cleared, so its
+/// buffer serves the next request.
+pub(crate) fn emit_request(
+    rec: &obs::Recorder,
+    op: &'static str,
+    path: &'static str,
+    start: SimTime,
+    end: SimTime,
+    log: &mut Vec<obs::StageNs>,
+) {
+    if rec.is_enabled() {
+        rec.emit(obs::EventKind::Request {
+            op,
+            path,
+            start_ns: start.as_nanos(),
+            end_ns: end.as_nanos(),
+            stages: std::mem::take(log),
+        });
+    }
+    log.clear();
+}
+
+/// A closed-loop request in flight.
+#[derive(Default)]
+struct Request {
+    payload: u64,
+    start: SimTime,
+    label: &'static str,
+    path: &'static str,
+    /// Per-stage queue/service breakdown accumulated so far.
+    log: Vec<obs::StageNs>,
+}
+
+/// The closed loop's queue and in-flight state.
+struct Flights {
+    queue: EventQueue<u32>,
+    chains: Chains,
+    requests: Slab<Request>,
+    /// Chain ids in issue order, background chains first. A chain's id is
+    /// its queue lane, so same-instant steps fire in issue order (each
+    /// chain has one step queued at a time).
+    next_id: u64,
+}
+
+impl Flights {
+    /// Executes `op` functionally at `now` and opens its chains.
+    fn issue<R: RigDriver>(
+        &mut self,
+        rig: &mut R,
+        rec: &obs::Recorder,
+        costs: &CostModel,
+        op: &DriverOp,
+        now: SimTime,
+    ) {
+        // Stamp the functional execution with its simulated issue time so
+        // every data-plane event lands at the right spot on the timeline.
+        rec.set_now(now.as_nanos());
+        let (obs, payload) = rig.run_op(op);
+        let demands = derive(costs, rig.transport(), rig.per_request_ns(costs), &obs);
+        let r = self.requests.alloc();
+        let req = &mut self.requests[r];
+        req.payload = payload;
+        req.start = now;
+        req.label = op_label(op);
+        req.path = classify_path(&obs);
+        let (queue, next_id) = (&mut self.queue, &mut self.next_id);
+        self.chains.open(costs, &demands, r, |c, chain| {
+            chain.lane = *next_id;
+            *next_id += 1;
+            queue.push(now, chain.lane, c);
+        });
+    }
 }
 
 /// Runs `ops` against `rig` under `opts`. Operations execute functionally
@@ -611,48 +756,16 @@ pub fn run<R: RigDriver>(
     }
 
     let mut meter = Throughput::new();
-    let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    // In-flight requests: stage lists, cursors and the accumulated
-    // per-stage latency breakdown, keyed by seq.
-    type Flight = (Vec<Stage>, usize, Option<u64>, Vec<obs::StageNs>);
-    let mut inflight: std::collections::HashMap<u64, Flight> = std::collections::HashMap::new();
-    let mut issued_at: std::collections::HashMap<u64, (SimTime, &'static str, &'static str)> =
-        std::collections::HashMap::new();
+    let mut f = Flights {
+        queue: EventQueue::new(),
+        chains: Chains::default(),
+        requests: Slab::new(),
+        next_id: 0,
+    };
     let mut latency = LatencyHistogram::new();
     let mut end = SimTime::ZERO;
     // Raw completion samples (t_ns, payload) for the timeline.
     let mut samples: Vec<(u64, u64)> = Vec::new();
-
-    // `payload = None` marks a background write-behind job: it consumes
-    // resources but completes silently (no throughput record, no refill).
-    // Returns the issued request's id and data-path label so the caller
-    // can timestamp and attribute it.
-    let issue = |rig: &mut R,
-                     op: DriverOp,
-                     now: SimTime,
-                     seq: &mut u64,
-                     heap: &mut BinaryHeap<Reverse<(SimTime, u64)>>,
-                     inflight: &mut std::collections::HashMap<u64, Flight>| {
-        // Stamp the functional execution with its simulated issue time so
-        // every data-plane event lands at the right spot on the timeline.
-        rec.set_now(now.as_nanos());
-        let (obs, payload) = rig.run_op(&op);
-        let path = classify_path(&obs);
-        let demands = derive(costs, rig.transport(), rig.per_request_ns(costs), &obs);
-        let (stages, background) = stage_chains(costs, &demands);
-        for bg in background {
-            let id = *seq;
-            *seq += 1;
-            inflight.insert(id, (bg, 0, None, Vec::new()));
-            heap.push(Reverse((now, id)));
-        }
-        let id = *seq;
-        *seq += 1;
-        inflight.insert(id, (stages, 0, Some(payload), Vec::new()));
-        heap.push(Reverse((now, id)));
-        (id, path)
-    };
 
     // Controller epochs are op-count boundaries: tick after every
     // `epoch` functional executions, never mid-request.
@@ -663,9 +776,7 @@ pub fn run<R: RigDriver>(
     for _ in 0..opts.concurrency.max(1) {
         match ops.next() {
             Some(op) => {
-                let label = op_label(&op);
-                let (id, path) = issue(rig, op, SimTime::ZERO, &mut seq, &mut heap, &mut inflight);
-                issued_at.insert(id, (SimTime::ZERO, label, path));
+                f.issue(rig, &rec, costs, &op, SimTime::ZERO);
                 executed += 1;
                 if epoch.is_some_and(|l| executed.is_multiple_of(l)) {
                     rig.adaptive_tick();
@@ -675,30 +786,25 @@ pub fn run<R: RigDriver>(
         }
     }
 
-    while let Some(Reverse((now, id))) = heap.pop() {
-        let entry = inflight.get(&id).expect("in flight");
-        let cursor = entry.1;
-        if cursor == entry.0.len() {
-            let (_, _, payload, stage_log) = inflight.remove(&id).expect("in flight");
+    while let Some(c) = f.queue.pop() {
+        let now = f.queue.now();
+        let chain = &mut f.chains[c];
+        if chain.cursor == chain.stages.len() {
+            let fg = chain.fg;
+            f.chains.close(c);
             end = end.max(now);
-            if let Some(payload) = payload {
+            // A background write-behind chain completes silently (no
+            // throughput record, no refill).
+            if let Some(r) = fg {
                 // A client request completed: record and refill the slot.
-                meter.record(payload);
-                samples.push((now.as_nanos(), payload));
-                if let Some((start, label, path)) = issued_at.remove(&id) {
-                    latency.record(now.since(start));
-                    rec.emit(obs::EventKind::Request {
-                        op: label,
-                        path,
-                        start_ns: start.as_nanos(),
-                        end_ns: now.as_nanos(),
-                        stages: stage_log,
-                    });
-                }
+                let req = &mut f.requests[r];
+                meter.record(req.payload);
+                samples.push((now.as_nanos(), req.payload));
+                latency.record(now.since(req.start));
+                emit_request(&rec, req.label, req.path, req.start, now, &mut req.log);
+                f.requests.free(r);
                 if let Some(op) = ops.next() {
-                    let label = op_label(&op);
-                    let (next, path) = issue(rig, op, now, &mut seq, &mut heap, &mut inflight);
-                    issued_at.insert(next, (now, label, path));
+                    f.issue(rig, &rec, costs, &op, now);
                     executed += 1;
                     if epoch.is_some_and(|l| executed.is_multiple_of(l)) {
                         rig.adaptive_tick();
@@ -707,7 +813,9 @@ pub fn run<R: RigDriver>(
             }
             continue;
         }
-        let stage = entry.0[cursor];
+        let stage = chain.stages[chain.cursor];
+        chain.cursor += 1;
+        let (lane, fg) = (chain.lane, chain.fg);
         let mut promote_done = None;
         let (started, done) = match stage.res {
             Res::AppRx => app_rx.serve_timed(now, stage.demand),
@@ -728,31 +836,29 @@ pub fn run<R: RigDriver>(
                 (o.begin, o.done)
             }
         };
-        let entry = inflight.get_mut(&id).expect("in flight");
-        entry.1 = cursor + 1;
-        // Stage arrival is exactly `now` (the previous stage's completion
-        // or the issue instant), so queue + service telescopes across the
-        // chain to end-to-end latency, exactly, in integer nanoseconds.
-        entry.3.push(obs::StageNs {
-            stage: stage.res.name(),
-            queue_ns: started.since(now).as_nanos(),
-            service_ns: done.since(started).as_nanos(),
-        });
-        // A promotion copy chains onto the read it was triggered by: the
-        // stage starts exactly at `done` (queue 0), so the chain still
-        // telescopes to end-to-end latency.
-        let next_at = match promote_done {
-            Some(p) => {
-                entry.3.push(obs::StageNs {
+        if let Some(r) = fg {
+            let log = &mut f.requests[r].log;
+            // Stage arrival is exactly `now` (the previous stage's
+            // completion or the issue instant), so queue + service
+            // telescopes across the chain to end-to-end latency, exactly,
+            // in integer nanoseconds.
+            log.push(obs::StageNs {
+                stage: stage.res.name(),
+                queue_ns: started.since(now).as_nanos(),
+                service_ns: done.since(started).as_nanos(),
+            });
+            // A promotion copy chains onto the read it was triggered by:
+            // the stage starts exactly at `done` (queue 0), so the chain
+            // still telescopes to end-to-end latency.
+            if let Some(p) = promote_done {
+                log.push(obs::StageNs {
                     stage: "tier-promote",
                     queue_ns: 0,
                     service_ns: p.since(done).as_nanos(),
                 });
-                p
             }
-            None => done,
-        };
-        heap.push(Reverse((next_at, id)));
+        }
+        f.queue.push(promote_done.unwrap_or(done), lane, c);
     }
 
     let elapsed = end;
@@ -778,6 +884,7 @@ pub fn run<R: RigDriver>(
         p99_latency: latency.quantile(0.99),
         timeline,
         tier: array.tier_stats(),
+        events: f.queue.dispatched(),
     }
 }
 
@@ -1010,5 +1117,25 @@ mod tests {
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.payload_bytes, b.payload_bytes);
         assert!((a.throughput_mbs - b.throughput_mbs).abs() < 1e-12);
+    }
+
+    #[test]
+    fn all_hit_4k_run_dispatches_four_events_per_request() {
+        // A resident 4 KB read walks app-rx, app-cpu and app-tx: three
+        // stage steps and one completion. Issue is not an event.
+        let mut rig = NfsRig::new(ServerMode::NCache, NfsRigParams::default());
+        let fh = rig.create_file("hot", 1 << 20);
+        for op in seq_reads(fh, 1 << 20, 32 << 10) {
+            rig.run_op(&op);
+        }
+        let _ = rig.server_mut().fs_mut().store_mut().take_io_log();
+        let r = run(
+            &mut rig,
+            seq_reads(fh, 1 << 20, 4 << 10),
+            &RunOptions::default(),
+        );
+        assert_eq!(r.ops, 256);
+        assert!(r.storage_cpu_util == 0.0, "all hits");
+        assert_eq!(r.events, 1_024);
     }
 }

@@ -1,7 +1,7 @@
 //! The interleaved multi-session engine.
 //!
 //! [`run_sessions`] drives M client sessions against one rig over the
-//! discrete-event engine in [`sim::engine`]. Each session holds exactly
+//! typed event queue in [`sim::queue`]. Each session holds exactly
 //! one outstanding request (a closed loop per client, as the paper's
 //! client-scaling runs); its request, storage and reply stages are the
 //! same FIFO chains the single-stream [`crate::runner`] builds, but every
@@ -25,7 +25,7 @@ use netbuf::{CopyLedger, NetBuf};
 use servers::initiator::IoRecord;
 use servers::nfs::NfsClient;
 use sim::costs::CostModel;
-use sim::engine::{Engine, Scheduler};
+use sim::queue::EventQueue;
 use sim::stats::{LatencyHistogram, Throughput};
 use sim::time::{Duration, SimTime};
 use sim::{FaultPlan, FaultSpec, Resource, SplitMix64};
@@ -37,8 +37,8 @@ pub use crate::openloop::{
 use crate::executor::{derive_seed, run_cells};
 use crate::nfs_rig::{faulted_exchange_with, FaultChannel, FaultCounters, NfsRig};
 use crate::runner::{
-    classify_path, op_label, stage_chains, Backend, DriverOp, Res, RigDriver, ServeOutcome, Stage,
-    FRAME_OVERHEAD,
+    classify_path, emit_request, op_label, Backend, Chains, DriverOp, Res, RigDriver, ServeOutcome,
+    Stage, FRAME_OVERHEAD,
 };
 use crate::timing::{coalesce, derive, Observation, Transport};
 
@@ -102,14 +102,34 @@ pub struct SessionsResult {
     pub retries: u64,
     /// Tier counters when the run used a tiered backend.
     pub tier: Option<TierStats>,
+    /// Events the timing engine dispatched: session primes,
+    /// retransmissions, stage steps and chain completions. A
+    /// deterministic work count.
+    pub events: u64,
 }
 
-/// The engine's world: the rig, the shared hardware, and per-session
-/// bookkeeping. Owned by the [`Engine`], mutated by events.
+/// What the sessions engine's queue holds.
+#[derive(Clone, Copy)]
+enum Ev {
+    /// Prime session `sid` with its first operation.
+    Issue(u32),
+    /// Retransmit session `sid`'s request after its backoff.
+    Transmit(u32),
+    /// The next stage of a chain.
+    Step(u32),
+}
+
+/// The engine's world: the rig, the shared hardware, the event queue,
+/// and per-session bookkeeping.
 struct World<R> {
     rig: R,
     hook: Option<SessionHook<R>>,
-    queues: Vec<VecDeque<DriverOp>>,
+    /// Each session's operation stream.
+    ops: Vec<Vec<DriverOp>>,
+    /// Each session's foreground request; a session has at most one.
+    flights: Vec<Foreground>,
+    queue: EventQueue<Ev>,
+    chains: Chains,
     costs: CostModel,
     rec: obs::Recorder,
     app_cpu: Resource,
@@ -201,17 +221,18 @@ impl<R: RigDriver> World<R> {
     }
 }
 
-/// Foreground request state threaded through its stage chain: identity,
-/// start instant, and the per-stage latency breakdown accumulated so far.
-/// Each stage's arrival is the previous stage's completion (the chain is
-/// rescheduled at `done`), so the queue + service entries telescope to
-/// exactly the request's end-to-end latency.
+/// A session's foreground request: identity, start instant, and the
+/// per-stage latency breakdown accumulated so far. Each stage's arrival
+/// is the previous stage's completion (the chain is rescheduled at
+/// `done`), so the queue + service entries telescope to exactly the
+/// request's end-to-end latency.
+#[derive(Default)]
 struct Foreground {
     payload: u64,
     start: SimTime,
     label: &'static str,
     path: &'static str,
-    stages: Vec<obs::StageNs>,
+    log: Vec<obs::StageNs>,
     /// The server admitted (some attempt of) the request; `false` means
     /// every transmission so far was rejected.
     delivered: bool,
@@ -219,8 +240,9 @@ struct Foreground {
     idx: u64,
     /// Transmissions performed so far (1 = the initial send).
     attempts: u64,
-    /// The operation, retained for retransmission after a rejection.
-    op: DriverOp,
+    /// Operations of the session issued so far; the request carries the
+    /// last of them, retained for retransmission after a rejection.
+    issued: usize,
 }
 
 /// The obs lane a session's events land on. Lane 0 is the single-session
@@ -233,25 +255,23 @@ fn lane(sid: usize) -> u64 {
 /// functionally at the current instant (with the session's lane stamped
 /// into the recorder, so its spans land in the session's timeline lane),
 /// then schedules its stage chains.
-fn issue<R: RigDriver + 'static>(w: &mut World<R>, s: &mut Scheduler<World<R>>, sid: usize) {
-    let Some(op) = w.queues[sid].pop_front() else {
+fn issue<R: RigDriver>(w: &mut World<R>, sid: usize) {
+    let fg = &mut w.flights[sid];
+    let Some(op) = w.ops[sid].get(fg.issued) else {
         return;
     };
-    let now = s.now();
+    let now = w.queue.now();
     w.inflight += 1;
-    let fg = Foreground {
-        payload: 0,
-        start: now,
-        label: op_label(&op),
-        path: "shed",
-        stages: Vec::new(),
-        delivered: false,
-        idx: w.issued,
-        attempts: 0,
-        op,
-    };
+    fg.issued += 1;
+    fg.payload = 0;
+    fg.start = now;
+    fg.label = op_label(op);
+    fg.path = "shed";
+    fg.delivered = false;
+    fg.idx = w.issued;
+    fg.attempts = 0;
     w.issued += 1;
-    transmit(w, s, sid, fg);
+    transmit(w, sid);
 }
 
 /// One transmission of a session's operation, executed functionally at
@@ -259,13 +279,8 @@ fn issue<R: RigDriver + 'static>(w: &mut World<R>, s: &mut Scheduler<World<R>>, 
 /// recorder. An admitted attempt fixes the foreground's payload and
 /// path; a rejected one leaves it undelivered (the retry decision
 /// happens when the rejection reply reaches the session — see [`step`]).
-fn transmit<R: RigDriver + 'static>(
-    w: &mut World<R>,
-    s: &mut Scheduler<World<R>>,
-    sid: usize,
-    mut fg: Foreground,
-) {
-    let now = s.now();
+fn transmit<R: RigDriver>(w: &mut World<R>, sid: usize) {
+    let now = w.queue.now();
     w.rec.set_now(now.as_nanos());
     w.rec.set_lane(lane(sid));
     // The gate sees the depth of admitted requests currently in flight;
@@ -274,11 +289,12 @@ fn transmit<R: RigDriver + 'static>(
     if let Some(hook) = w.hook.as_mut() {
         hook(&mut w.rig, sid);
     }
-    let (obs, payload) = w.rig.run_op(&fg.op);
+    let (obs, payload) = w.rig.run_op(&w.ops[sid][w.flights[sid].issued - 1]);
     if let Some(hook) = w.hook.as_mut() {
         hook(&mut w.rig, sid);
     }
     w.rec.set_lane(0);
+    let fg = &mut w.flights[sid];
     fg.attempts += 1;
     if fg.attempts > 1 {
         w.retries += 1;
@@ -296,85 +312,43 @@ fn transmit<R: RigDriver + 'static>(
         w.rig.per_request_ns(&w.costs)
     };
     let demands = derive(&w.costs, w.rig.transport(), per_request_ns, &obs);
-    let (stages, background) = stage_chains(&w.costs, &demands);
-    for bg in background {
-        s.schedule_at_lane(now, lane(sid), move |w, s| step(w, s, sid, bg, 0, None));
-    }
     if !obs.rejected {
+        let fg = &mut w.flights[sid];
         fg.delivered = true;
         fg.payload = payload;
         fg.path = classify_path(&obs);
         w.server_inflight += 1;
     }
-    s.schedule_at_lane(now, lane(sid), move |w, s| step(w, s, sid, stages, 0, Some(fg)));
+    let queue = &mut w.queue;
+    w.chains.open(&w.costs, &demands, sid as u32, |c, chain| {
+        chain.lane = lane(sid);
+        queue.push(now, chain.lane, Ev::Step(c));
+    });
 }
 
 /// Walks one stage of a chain: occupies the stage's FIFO resource and
 /// schedules the next stage at the completion instant, on the session's
 /// lane. An exhausted foreground chain records the completed request and
 /// refills the session's slot (the closed loop).
-fn step<R: RigDriver + 'static>(
-    w: &mut World<R>,
-    s: &mut Scheduler<World<R>>,
-    sid: usize,
-    stages: Vec<Stage>,
-    cursor: usize,
-    mut foreground: Option<Foreground>,
-) {
-    let now = s.now();
-    if cursor == stages.len() {
+fn step<R: RigDriver>(w: &mut World<R>, c: u32) {
+    let now = w.queue.now();
+    let chain = &mut w.chains[c];
+    let (lane, fg) = (chain.lane, chain.fg);
+    if chain.cursor == chain.stages.len() {
+        w.chains.close(c);
         w.end = w.end.max(now);
-        if let Some(mut fg) = foreground {
-            if !fg.delivered {
-                // The rejection reply just reached the session: back off
-                // and retransmit if the budget allows. The backoff is a
-                // pure client-side delay, recorded as a stage so the
-                // breakdown still telescopes to end-to-end latency.
-                if let Some(policy) = w.retry {
-                    if fg.attempts <= u64::from(policy.budget) {
-                        let backoff = policy.backoff_ns(fg.idx, fg.attempts as u32);
-                        fg.stages.push(obs::StageNs {
-                            stage: "client-backoff",
-                            queue_ns: 0,
-                            service_ns: backoff,
-                        });
-                        let at = now + Duration::from_nanos(backoff);
-                        s.schedule_at_lane(at, lane(sid), move |w, s| transmit(w, s, sid, fg));
-                        return;
-                    }
-                }
-            }
-            w.inflight -= 1;
-            if fg.delivered {
-                w.server_inflight -= 1;
-                w.meter.record(fg.payload);
-                w.latency.record(now.since(fg.start));
-                w.per_session_ops[sid] += 1;
-            } else {
-                // Shed: nothing was delivered, so the request stays out
-                // of the throughput meter and the latency histogram —
-                // but the closed loop still refills the session's slot.
-                w.shed += 1;
-            }
-            w.rec.set_now(now.as_nanos());
-            w.rec.set_lane(lane(sid));
-            w.rec.emit(obs::EventKind::Request {
-                op: fg.label,
-                path: fg.path,
-                start_ns: fg.start.as_nanos(),
-                end_ns: now.as_nanos(),
-                stages: fg.stages,
-            });
-            w.rec.set_lane(0);
-            issue(w, s, sid);
+        if let Some(sid) = fg {
+            complete(w, sid as usize);
         }
         return;
     }
-    let stage = stages[cursor];
+    let stage = chain.stages[chain.cursor];
+    chain.cursor += 1;
     let o = w.serve(now, &stage);
     let (started, done) = (o.begin, o.done);
-    if let Some(fg) = foreground.as_mut() {
-        fg.stages.push(obs::StageNs {
+    if let Some(sid) = fg {
+        let log = &mut w.flights[sid as usize].log;
+        log.push(obs::StageNs {
             stage: stage.res.name(),
             queue_ns: started.since(now).as_nanos(),
             service_ns: done.since(started).as_nanos(),
@@ -383,17 +357,59 @@ fn step<R: RigDriver + 'static>(
         // starting exactly at `done` (queue 0): the breakdown still
         // telescopes to end-to-end latency.
         if let Some(p) = o.promote_done {
-            fg.stages.push(obs::StageNs {
+            log.push(obs::StageNs {
                 stage: "tier-promote",
                 queue_ns: 0,
                 service_ns: p.since(done).as_nanos(),
             });
         }
     }
-    let next_at = o.promote_done.unwrap_or(done);
-    s.schedule_at_lane(next_at, lane(sid), move |w, s| {
-        step(w, s, sid, stages, cursor + 1, foreground)
-    });
+    w.queue
+        .push(o.promote_done.unwrap_or(done), lane, Ev::Step(c));
+}
+
+/// Session `sid`'s foreground chain drained: retransmit a rejected
+/// request if the retry policy allows, otherwise record the request and
+/// issue the session's next operation.
+fn complete<R: RigDriver>(w: &mut World<R>, sid: usize) {
+    let now = w.queue.now();
+    let fg = &mut w.flights[sid];
+    if !fg.delivered {
+        // The rejection reply just reached the session: back off and
+        // retransmit if the budget allows. The backoff is a pure
+        // client-side delay, recorded as a stage so the breakdown still
+        // telescopes to end-to-end latency.
+        if let Some(policy) = w.retry {
+            if fg.attempts <= u64::from(policy.budget) {
+                let backoff = policy.backoff_ns(fg.idx, fg.attempts as u32);
+                fg.log.push(obs::StageNs {
+                    stage: "client-backoff",
+                    queue_ns: 0,
+                    service_ns: backoff,
+                });
+                let at = now + Duration::from_nanos(backoff);
+                w.queue.push(at, lane(sid), Ev::Transmit(sid as u32));
+                return;
+            }
+        }
+    }
+    w.inflight -= 1;
+    if fg.delivered {
+        w.server_inflight -= 1;
+        w.meter.record(fg.payload);
+        w.latency.record(now.since(fg.start));
+        w.per_session_ops[sid] += 1;
+    } else {
+        // Shed: nothing was delivered, so the request stays out of the
+        // throughput meter and the latency histogram — but the closed
+        // loop still refills the session's slot.
+        w.shed += 1;
+    }
+    w.rec.set_now(now.as_nanos());
+    w.rec.set_lane(lane(sid));
+    emit_request(&w.rec, fg.label, fg.path, fg.start, now, &mut fg.log);
+    w.rec.set_lane(0);
+    issue(w, sid);
 }
 
 /// Runs `sessions` (one operation stream per session) against `rig`.
@@ -403,7 +419,7 @@ fn step<R: RigDriver + 'static>(
 /// Sessions are primed in session order at time zero; from then on each
 /// completion immediately issues the session's next operation, so every
 /// session keeps exactly one request outstanding until its stream drains.
-pub fn run_sessions<R: RigDriver + 'static>(
+pub fn run_sessions<R: RigDriver>(
     rig: R,
     sessions: Vec<Vec<DriverOp>>,
     opts: &SessionsOptions,
@@ -427,10 +443,13 @@ pub fn run_sessions<R: RigDriver + 'static>(
         stor_tx.set_recorder(rec.clone());
         stor_rx.set_recorder(rec.clone());
     }
-    let world = World {
+    let mut w = World {
         rig,
         hook,
-        queues: sessions.into_iter().map(VecDeque::from).collect(),
+        ops: sessions,
+        flights: (0..n).map(|_| Foreground::default()).collect(),
+        queue: EventQueue::new(),
+        chains: Chains::default(),
         costs: opts.costs.clone(),
         rec,
         app_cpu,
@@ -455,12 +474,17 @@ pub fn run_sessions<R: RigDriver + 'static>(
         total_ops,
         ticks_done: 0,
     };
-    let mut engine = Engine::new(world);
+    // Sessions are primed in session order at time zero, on lane 0.
     for sid in 0..n {
-        engine.schedule(Duration::ZERO, move |w, s| issue(w, s, sid));
+        w.queue.push(SimTime::ZERO, 0, Ev::Issue(sid as u32));
     }
-    engine.run();
-    let w = engine.into_world();
+    while let Some(ev) = w.queue.pop() {
+        match ev {
+            Ev::Issue(sid) => issue(&mut w, sid as usize),
+            Ev::Transmit(sid) => transmit(&mut w, sid as usize),
+            Ev::Step(c) => step(&mut w, c),
+        }
+    }
     let elapsed = w.end;
     let result = SessionsResult {
         throughput_mbs: w.meter.megabytes_per_sec(elapsed),
@@ -474,6 +498,7 @@ pub fn run_sessions<R: RigDriver + 'static>(
         shed: w.shed,
         retries: w.retries,
         tier: w.array.tier_stats(),
+        events: w.queue.dispatched(),
     };
     (w.rig, result)
 }
@@ -1254,6 +1279,9 @@ mod tests {
         assert_eq!(sessions_result.ops, runner_result.ops);
         assert_eq!(sessions_result.payload_bytes, runner_result.payload_bytes);
         assert_eq!(sessions_result.elapsed, runner_result.elapsed);
+        // The same chains walk the same steps; the session's prime at
+        // time zero is the one extra event.
+        assert_eq!(sessions_result.events, runner_result.events + 1);
     }
 
     #[test]

@@ -29,6 +29,45 @@ cargo run --release --offline -q -p ncache-bench --bin repro -- \
 cargo run --release --offline -q -p ncache-bench --bin repro -- \
     --validate-trace "$TRACE_DIR/table2.jsonl"
 
+echo "== golden repro stdout (tests/golden/) =="
+# Byte-exact stdout of the experiments the timing engines drive, captured
+# from a known-good build. A change that means to move one of these
+# outputs regenerates the file with the same command and says why.
+golden() { # golden FILE ARGS...
+    local file="$1"; shift
+    cargo run --release --offline -q -p ncache-bench --bin repro -- "$@" \
+        2>/dev/null > "$TRACE_DIR/golden.txt"
+    diff -u "tests/golden/$file" "$TRACE_DIR/golden.txt"
+    echo "repro $* matches tests/golden/$file"
+}
+golden table2_fig5_fig7.txt --table2 --fig5 --fig7
+golden clients_sweep.txt --clients-sweep
+golden clients_sweep_parallel_lanes.txt --clients-sweep --parallel-lanes
+golden overload_sweep_latency_report.txt --overload-sweep --latency-report
+golden overload_sweep_protected.txt --overload-sweep --protected
+golden adaptive_sweep.txt --adaptive-sweep
+# Chrome traces run to 100-200 MB of JSON + JSONL, so only their sha256
+# is committed, one per timing engine: open loop (overload sweep),
+# closed-loop runner (fig4, whose all-miss chains tie often enough to pin
+# the runner's chain-id tie-break) and sessions (clients sweep, which
+# pins the per-session lanes). Stdout alone does not pin either tie-break.
+golden_trace() { # golden_trace NAME ARGS...
+    local name="$1"; shift
+    cargo run --release --offline -q -p ncache-bench --bin repro -- \
+        "$@" --trace "$TRACE_DIR/$name.json" > /dev/null 2>&1
+    local sums="$PWD/tests/golden/$name.sha256"
+    (cd "$TRACE_DIR" && sha256sum -c "$sums")
+    rm -f "$TRACE_DIR/$name".json*
+}
+golden_trace overload_trace --overload-sweep
+golden_trace fig4_trace --fig4
+golden_trace clients_sweep_trace --clients-sweep
+
+echo "== host benchmark self-test (hostbench golden.txt) =="
+# The host benchmark's own test: every workload runs briefly and the
+# seed-1 simulated results must match hostbench/golden.txt.
+cargo test --release --offline --manifest-path hostbench/Cargo.toml
+
 echo "== executor smoke (repro --table2, 1 vs N threads, identical stdout) =="
 # At least 4 workers so the multi-worker path is exercised even on small
 # machines (the executor oversubscribes harmlessly).
