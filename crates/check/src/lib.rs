@@ -40,6 +40,7 @@
 //! root for trajectory tracking across runs. See the `ncache-bench` crate
 //! for the per-table/per-figure benches built on it.
 
+pub mod alloc;
 pub mod bench;
 pub mod gen;
 #[macro_use]

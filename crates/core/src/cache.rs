@@ -15,12 +15,12 @@
 //!   LBN entry ("data in the FHO cache is always more up-to-date");
 //! * `resolve` consults FHO before LBN so clients always see fresh data.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use netbuf::key::{CacheKey, Fho, Lbn};
+use netbuf::key::{CacheKey, Fho, KeyMap, Lbn};
 use netbuf::{BufPool, Segment};
 
 use crate::adaptive::{GhostLru, GhostStats};
@@ -221,7 +221,7 @@ impl StatsCells {
 /// # Ok::<(), ncache::CacheFull>(())
 /// ```
 pub struct NetCache {
-    map: HashMap<CacheKey, Entry>,
+    map: KeyMap<CacheKey, Entry>,
     order: BTreeMap<u64, CacheKey>,
     seq: SeqSource,
     pool: BufPool,
@@ -250,7 +250,7 @@ impl NetCache {
     /// and LRU age are global properties of the shard set.
     pub(crate) fn with_seq_source(pool: BufPool, per_chunk_overhead: u64, seq: SeqSource) -> Self {
         NetCache {
-            map: HashMap::new(),
+            map: KeyMap::default(),
             order: BTreeMap::new(),
             seq,
             pool,
@@ -397,13 +397,28 @@ impl NetCache {
     /// lock, so concurrent hit lookups never serialize against each
     /// other.
     pub fn lookup(&self, key: CacheKey) -> Option<Vec<Segment>> {
+        let mut segs = Vec::new();
+        self.lookup_into(key, usize::MAX, &mut segs).then_some(segs)
+    }
+
+    /// [`NetCache::lookup`] without the intermediate list: on a hit, the
+    /// chunk's segments, clipped to the first `limit` payload bytes, are
+    /// appended to `out` and `true` is returned. The substitution engine
+    /// splices straight into the outgoing packet's chain this way.
+    pub(crate) fn lookup_into(
+        &self,
+        key: CacheKey,
+        limit: usize,
+        out: &mut impl Extend<Segment>,
+    ) -> bool {
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
         crate::epoch::bump_tally();
         if let Some(entry) = self.map.get(&key) {
             let fresh = self.seq.next();
             entry.seq.fetch_max(fresh, Ordering::Relaxed);
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            Some(entry.chunk.share_segments())
+            out.extend(entry.chunk.share(limit));
+            true
         } else {
             // A miss consults the ghost tail: a hit there is a request a
             // larger NCache quota would have served. Observation only —
@@ -411,7 +426,7 @@ impl NetCache {
             if let Some(g) = &self.ghost {
                 g.lock().expect("ghost poisoned").probe(ghost_key(key));
             }
-            None
+            false
         }
     }
 
@@ -446,7 +461,7 @@ impl NetCache {
         // Overwrite any stale LBN copy — "data in the FHO cache is always
         // more up-to-date" (§3.4).
         self.remove_entry(CacheKey::Lbn(lbn));
-        let segs = entry.chunk.share_segments();
+        let segs = entry.chunk.share(usize::MAX).collect();
         self.insert_chunk_fresh(CacheKey::Lbn(lbn), entry.chunk);
         Some(segs)
     }
@@ -633,7 +648,7 @@ impl NetCache {
             };
             Ok(Some(WritebackChunk {
                 lbn,
-                segs: entry.chunk.share_segments(),
+                segs: entry.chunk.share(usize::MAX).collect(),
                 len: entry.chunk.len(),
             }))
         } else {

@@ -74,27 +74,35 @@ impl Chunk {
         self.csum = Some(csum);
     }
 
-    /// Shares the payload segments (logical copy), clipped to the payload
-    /// length.
-    pub fn share_segments(&self) -> Vec<Segment> {
-        let mut out = Vec::with_capacity(self.segs.len());
-        let mut remaining = self.len;
-        for seg in &self.segs {
-            if remaining == 0 {
-                break;
-            }
+    /// Shares the payload segments (logical copy) as views clipped once to
+    /// the first `limit` bytes of the payload (`usize::MAX` for all of
+    /// it). The iterator's length is exact, so collecting or extending
+    /// from it reserves once.
+    pub fn share(&self, limit: usize) -> impl ExactSizeIterator<Item = Segment> + '_ {
+        let want = self.len.min(limit);
+        let mut covered = 0usize;
+        let used = self
+            .segs
+            .iter()
+            .take_while(|seg| {
+                let live = covered < want;
+                covered += seg.len();
+                live
+            })
+            .count();
+        let mut remaining = want;
+        self.segs[..used].iter().map(move |seg| {
             let take = seg.len().min(remaining);
-            out.push(seg.slice(0, take));
             remaining -= take;
-        }
-        out
+            seg.slice(0, take)
+        })
     }
 
     /// Physically materializes the payload (for integrity checks and
     /// writeback paths that must hand bytes to a copying interface).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len);
-        for seg in self.share_segments() {
+        for seg in self.share(usize::MAX) {
             v.extend_from_slice(seg.as_slice());
         }
         v
@@ -111,17 +119,21 @@ mod tests {
     }
 
     #[test]
-    fn share_segments_clips_to_len() {
+    fn share_clips_to_len_and_limit() {
         let pool = BufPool::new(1 << 20);
         let segs = vec![
             Segment::from_vec(vec![1; 1000]),
             Segment::from_vec(vec![2; 1000]),
         ];
         let c = Chunk::new(segs, 1500, false, pin(&pool, 4096));
-        let shared = c.share_segments();
-        assert_eq!(shared.len(), 2);
-        assert_eq!(shared[0].len(), 1000);
-        assert_eq!(shared[1].len(), 500);
+        let lens = |limit| c.share(limit).map(|s| s.len()).collect::<Vec<_>>();
+        assert_eq!(lens(usize::MAX), [1000, 500]);
+        assert_eq!(lens(1500), [1000, 500]);
+        assert_eq!(lens(1000), [1000]);
+        assert_eq!(lens(999), [999]);
+        assert_eq!(lens(1), [1]);
+        assert!(lens(0).is_empty());
+        assert_eq!(c.share(1200).len(), 2, "exact length");
         assert_eq!(c.to_bytes().len(), 1500);
         assert_eq!(c.len(), 1500);
         assert!(!c.is_empty());
@@ -132,7 +144,7 @@ mod tests {
         let pool = BufPool::new(1 << 20);
         let seg = Segment::from_vec(vec![7; 4096]);
         let c = Chunk::new(vec![seg.clone()], 4096, false, pin(&pool, 4096));
-        let shared = c.share_segments();
+        let shared: Vec<Segment> = c.share(usize::MAX).collect();
         assert!(shared[0].same_storage(&seg));
     }
 

@@ -328,6 +328,21 @@ impl NetCacheShards {
     /// Resolves a key stamp FHO-first (§3.4), across shards: the FHO and
     /// LBN copies of a block may live in different shards.
     pub fn resolve(&self, stamp: &netbuf::key::KeyStamp) -> Option<(CacheKey, Vec<Segment>)> {
+        let mut segs = Vec::new();
+        self.resolve_into(stamp, usize::MAX, &mut segs)
+            .map(|key| (key, segs))
+    }
+
+    /// [`NetCacheShards::resolve`] appending the resolved chunk's
+    /// segments, clipped to `limit` bytes, to `out` (see
+    /// [`NetCache::lookup_into`]); returns the key that hit. The
+    /// substitution engine's entry point.
+    pub(crate) fn resolve_into(
+        &self,
+        stamp: &netbuf::key::KeyStamp,
+        limit: usize,
+        out: &mut impl Extend<Segment>,
+    ) -> Option<CacheKey> {
         let fho_key = stamp.fho.map(CacheKey::Fho);
         let lbn_key = stamp.lbn.map(CacheKey::Lbn);
         let fho_first = self.fho_first.load(std::sync::atomic::Ordering::Relaxed);
@@ -336,12 +351,10 @@ impl NetCacheShards {
         } else {
             (lbn_key, fho_key)
         };
-        for key in [first, second].into_iter().flatten() {
-            if let Some(segs) = self.lookup(key) {
-                return Some((key, segs));
-            }
-        }
-        None
+        [first, second]
+            .into_iter()
+            .flatten()
+            .find(|&key| self.read(self.shard(key)).lookup_into(key, limit, out))
     }
 
     /// Remaps an FHO entry to an LBN key on file-system flush, moving the
@@ -373,7 +386,7 @@ impl NetCacheShards {
         fho_cache.note_remap();
         let entry = fho_cache.remove_entry(CacheKey::Fho(fho))?;
         lbn_cache.remove_entry(CacheKey::Lbn(lbn));
-        let segs = entry.chunk.share_segments();
+        let segs = entry.chunk.share(usize::MAX).collect();
         lbn_cache.insert_chunk_fresh(CacheKey::Lbn(lbn), entry.chunk);
         Some(segs)
     }

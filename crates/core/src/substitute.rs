@@ -7,10 +7,12 @@
 //! each stamp (FHO cache first, then LBN) and splices the cached network
 //! buffers into the packet in place of the placeholder. No payload bytes
 //! move: substitution is pointer surgery, charged to the CPU model per
-//! packet, not per byte.
+//! packet, not per byte. The cached segments are clipped once to the
+//! placeholder's length and appended straight into the packet's own
+//! segment chain, which is rewritten in place.
 
 use netbuf::key::KeyStamp;
-use netbuf::{NetBuf, Segment};
+use netbuf::NetBuf;
 
 use crate::shards::NetCacheShards;
 
@@ -34,25 +36,6 @@ impl SubstitutionReport {
         self.passed_through += other.passed_through;
         self.missing += other.missing;
     }
-}
-
-/// Clips a shared segment list to exactly `len` bytes.
-pub(crate) fn clip_segments(segs: Vec<Segment>, len: usize) -> Vec<Segment> {
-    let mut out = Vec::with_capacity(segs.len());
-    let mut remaining = len;
-    for seg in segs {
-        if remaining == 0 {
-            break;
-        }
-        let take = seg.len().min(remaining);
-        out.push(if take == seg.len() {
-            seg
-        } else {
-            seg.slice(0, take)
-        });
-        remaining -= take;
-    }
-    out
 }
 
 /// Substitutes every stamped placeholder segment in `buf`'s payload with
@@ -83,32 +66,20 @@ pub(crate) fn clip_segments(segs: Vec<Segment>, len: usize) -> Vec<Segment> {
 /// ```
 pub fn substitute_payload(buf: &mut NetBuf, cache: &NetCacheShards) -> SubstitutionReport {
     let mut report = SubstitutionReport::default();
-    let old = buf.take_payload();
-    let mut new = Vec::with_capacity(old.len());
-    for seg in old {
-        let stamp = if seg.len() >= KeyStamp::LEN {
-            KeyStamp::decode(seg.as_slice())
-        } else {
-            None
-        };
-        match stamp {
-            Some(stamp) if stamp.is_keyed() => match cache.resolve(&stamp) {
-                Some((_, cached)) => {
-                    report.substituted += 1;
-                    new.extend(clip_segments(cached, seg.len()));
-                }
-                None => {
-                    report.missing += 1;
-                    new.push(seg);
-                }
-            },
-            _ => {
-                report.passed_through += 1;
-                new.push(seg);
+    buf.splice_payload(|seg, chain| match KeyStamp::decode(seg.as_slice()) {
+        Some(stamp) if stamp.is_keyed() => {
+            if cache.resolve_into(&stamp, seg.len(), chain).is_some() {
+                report.substituted += 1;
+            } else {
+                report.missing += 1;
+                chain.push_back(seg);
             }
         }
-    }
-    buf.replace_payload(new);
+        _ => {
+            report.passed_through += 1;
+            chain.push_back(seg);
+        }
+    });
     report
 }
 
@@ -116,7 +87,7 @@ pub fn substitute_payload(buf: &mut NetBuf, cache: &NetCacheShards) -> Substitut
 mod tests {
     use super::*;
     use netbuf::key::{Fho, FileHandle, Lbn};
-    use netbuf::{BufPool, CopyLedger};
+    use netbuf::{BufPool, CopyLedger, Segment};
 
     fn cache() -> NetCacheShards {
         // Multi-shard on purpose: every substitution test doubles as a
@@ -261,15 +232,5 @@ mod tests {
         assert_eq!(a.substituted, 4);
         assert_eq!(a.passed_through, 2);
         assert_eq!(a.missing, 1);
-    }
-
-    #[test]
-    fn clip_segments_edge_cases() {
-        let segs = vec![Segment::from_vec(vec![1; 10]), Segment::from_vec(vec![2; 10])];
-        assert_eq!(clip_segments(segs.clone(), 0).len(), 0);
-        let c = clip_segments(segs.clone(), 15);
-        assert_eq!(c.iter().map(Segment::len).sum::<usize>(), 15);
-        let c = clip_segments(segs, 20);
-        assert_eq!(c.iter().map(Segment::len).sum::<usize>(), 20);
     }
 }

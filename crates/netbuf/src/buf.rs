@@ -8,6 +8,10 @@
 //! ([`NetBuf::append_bytes`]); layers prepend headers with
 //! [`NetBuf::push_header`]; [`NetBuf::to_wire`] hands the frame to the NIC
 //! (a DMA, not a CPU copy).
+//!
+//! Like an `sk_buff`, a buffer reserves [`HEADROOM`] bytes in front of the
+//! payload, so layers prepend their headers without touching the heap;
+//! only a header stack that outgrows the headroom moves to a heap vector.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -32,6 +36,52 @@ pub enum CsumState {
     Offloaded,
 }
 
+/// Bytes of inline header space in every [`NetBuf`]. An NFS READ reply
+/// (RPC 24 + status, fattr and count 76) and every request header the
+/// clients build fit; larger stacks spill to the heap.
+pub const HEADROOM: usize = 128;
+
+/// The header area: headers are prepended back to front into a fixed
+/// array, falling back to one heap vector once they outgrow it.
+#[derive(Clone)]
+enum Headers {
+    /// The headers are `room[start..]`.
+    Inline { start: usize, room: [u8; HEADROOM] },
+    /// Headers that outgrew the headroom, outermost first.
+    Spilled(Vec<u8>),
+}
+
+impl Headers {
+    fn new() -> Self {
+        Headers::Inline {
+            start: HEADROOM,
+            room: [0; HEADROOM],
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Headers::Inline { start, room } => &room[*start..],
+            Headers::Spilled(v) => v,
+        }
+    }
+
+    fn prepend(&mut self, bytes: &[u8]) {
+        if let Headers::Inline { start, room } = self {
+            if let Some(at) = start.checked_sub(bytes.len()) {
+                room[at..*start].copy_from_slice(bytes);
+                *start = at;
+                return;
+            }
+        }
+        let old = self.as_slice();
+        let mut spilled = Vec::with_capacity(bytes.len() + old.len());
+        spilled.extend_from_slice(bytes);
+        spilled.extend_from_slice(old);
+        *self = Headers::Spilled(spilled);
+    }
+}
+
 /// A network buffer: linear header area + chained payload segments.
 ///
 /// # Examples
@@ -49,7 +99,7 @@ pub enum CsumState {
 #[derive(Clone)]
 pub struct NetBuf {
     ledger: CopyLedger,
-    header: Vec<u8>,
+    header: Headers,
     segs: VecDeque<Segment>,
     csum: CsumState,
 }
@@ -60,7 +110,7 @@ impl NetBuf {
         ledger.charge_allocation();
         NetBuf {
             ledger: ledger.clone(),
-            header: Vec::new(),
+            header: Headers::new(),
             segs: VecDeque::new(),
             csum: CsumState::None,
         }
@@ -74,7 +124,7 @@ impl NetBuf {
         segs.push_back(Segment::from_vec(frame));
         NetBuf {
             ledger: ledger.clone(),
-            header: Vec::new(),
+            header: Headers::new(),
             segs,
             csum: CsumState::None,
         }
@@ -87,12 +137,12 @@ impl NetBuf {
 
     /// The (already-built) header bytes, outermost first.
     pub fn header(&self) -> &[u8] {
-        &self.header
+        self.header.as_slice()
     }
 
     /// Header length in bytes.
     pub fn header_len(&self) -> usize {
-        self.header.len()
+        self.header().len()
     }
 
     /// Payload length in bytes (sum of all segments).
@@ -102,7 +152,7 @@ impl NetBuf {
 
     /// Header + payload length.
     pub fn total_len(&self) -> usize {
-        self.header.len() + self.payload_len()
+        self.header_len() + self.payload_len()
     }
 
     /// Whether the buffer carries neither header nor payload.
@@ -121,39 +171,52 @@ impl NetBuf {
     /// of physically copying them is not significant", §1).
     pub fn push_header(&mut self, bytes: &[u8]) {
         self.ledger.charge_header_bytes(bytes.len() as u64);
-        let mut new = Vec::with_capacity(bytes.len() + self.header.len());
-        new.extend_from_slice(bytes);
-        new.extend_from_slice(&self.header);
-        self.header = new;
+        self.header.prepend(bytes);
     }
 
     /// Strips and returns the first `n` bytes of *payload* (receive-side
     /// header parsing: the stripped bytes are protocol metadata). Charged
-    /// as header-byte movement.
+    /// as header-byte movement. Fixed-size headers use
+    /// [`NetBuf::pull_into`] with a stack array instead.
     ///
     /// # Panics
     ///
     /// Panics if fewer than `n` payload bytes remain.
     pub fn pull(&mut self, n: usize) -> Vec<u8> {
+        self.assert_pullable(n);
+        let mut out = vec![0u8; n];
+        self.pull_into(&mut out);
+        out
+    }
+
+    /// Strips the first `out.len()` bytes of payload into `out`; charged
+    /// like [`NetBuf::pull`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `out.len()` payload bytes remain.
+    pub fn pull_into(&mut self, out: &mut [u8]) {
+        let n = out.len();
+        self.assert_pullable(n);
+        self.ledger.charge_header_bytes(n as u64);
+        let mut at = 0;
+        while at < n {
+            let front = self.segs.pop_front().expect("payload length checked");
+            let take = front.len().min(n - at);
+            out[at..at + take].copy_from_slice(&front.as_slice()[..take]);
+            at += take;
+            if take < front.len() {
+                self.segs.push_front(front.slice(take, front.len() - take));
+            }
+        }
+    }
+
+    fn assert_pullable(&self, n: usize) {
         assert!(
             n <= self.payload_len(),
             "pull of {n} bytes exceeds payload of {} bytes",
             self.payload_len()
         );
-        self.ledger.charge_header_bytes(n as u64);
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            let need = n - out.len();
-            let front = self.segs.pop_front().expect("payload length checked");
-            if front.len() <= need {
-                out.extend_from_slice(front.as_slice());
-            } else {
-                let (head, tail) = front.split_at(need);
-                out.extend_from_slice(head.as_slice());
-                self.segs.push_front(tail);
-            }
-        }
-        out
     }
 
     /// Reads payload bytes `[off, off+len)` without consuming or charging —
@@ -188,6 +251,12 @@ impl NetBuf {
             out.extend_from_slice(&avail[..take]);
         }
         out
+    }
+
+    /// Makes room for `n` more payload segments, so a reply whose segment
+    /// count is known up front sizes its chain once.
+    pub fn reserve_segments(&mut self, n: usize) {
+        self.segs.reserve(n);
     }
 
     /// Attaches a payload segment by reference — a **logical copy**; no
@@ -286,18 +355,30 @@ impl NetBuf {
         })
     }
 
-    /// Removes and returns all payload segments (pointer manipulation; the
-    /// substitution engine uses this to splice cached payload into an
-    /// outgoing packet).
+    /// Removes and returns all payload segments (pointer manipulation;
+    /// receive paths use this to hand arrived payload to a cache).
     pub fn take_payload(&mut self) -> Vec<Segment> {
         self.segs.drain(..).collect()
     }
 
     /// Replaces the payload with `segs` (logical; charged as one logical
-    /// copy — this is NCache packet substitution).
+    /// copy, like [`NetBuf::splice_payload`]).
     pub fn replace_payload(&mut self, segs: Vec<Segment>) {
         self.ledger.charge_logical_copy();
         self.segs = segs.into();
+    }
+
+    /// Rewrites the payload chain in place: `f` receives each segment in
+    /// order and appends what replaces it (itself, or other segments) to
+    /// the back of the chain it is handed. Logical; charged as one
+    /// logical copy — this is NCache packet substitution. When every
+    /// segment is replaced by one, the chain never reallocates.
+    pub fn splice_payload(&mut self, mut f: impl FnMut(Segment, &mut VecDeque<Segment>)) {
+        self.ledger.charge_logical_copy();
+        for _ in 0..self.segs.len() {
+            let seg = self.segs.pop_front().expect("counted segment");
+            f(seg, &mut self.segs);
+        }
     }
 
     /// Iterates over payload segments.
@@ -352,7 +433,7 @@ impl NetBuf {
     /// gathering the chain by DMA, so it is *not* charged as a CPU copy.
     pub fn to_wire(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.total_len());
-        v.extend_from_slice(&self.header);
+        v.extend_from_slice(self.header());
         for seg in &self.segs {
             v.extend_from_slice(seg.as_slice());
         }
@@ -363,7 +444,7 @@ impl NetBuf {
 impl fmt::Debug for NetBuf {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetBuf")
-            .field("header_len", &self.header.len())
+            .field("header_len", &self.header_len())
             .field("payload_len", &self.payload_len())
             .field("segments", &self.segs.len())
             .field("csum", &self.csum)
@@ -487,6 +568,113 @@ mod tests {
         assert_eq!(d.logical_copies, 1);
         assert_eq!(pkt.to_wire()[0], 0xEE);
         assert_eq!(&pkt.to_wire()[1..], &[42u8; 64][..]);
+    }
+
+    #[test]
+    fn splice_rewrites_in_order_and_charges_once() {
+        let l = ledger();
+        let mut pkt = NetBuf::new(&l);
+        for b in 1..=4u8 {
+            pkt.append_segment(Segment::from_vec(vec![b; 4]));
+        }
+        pkt.push_header(&[0xEE]);
+        pkt.reserve_segments(4);
+        let before = l.snapshot();
+        // Keep odd segments, replace even ones with two halves of 9s.
+        pkt.splice_payload(|seg, chain| {
+            if seg.as_slice()[0] % 2 == 1 {
+                chain.push_back(seg);
+            } else {
+                let nines = Segment::from_vec(vec![9; 4]);
+                chain.push_back(nines.slice(0, 2));
+                chain.push_back(nines.slice(2, 2));
+            }
+        });
+        let d = l.snapshot().delta_since(&before);
+        assert_eq!(d.logical_copies, 1, "one charge per packet");
+        assert_eq!(d.payload_copies, 0);
+        assert_eq!(pkt.segment_count(), 6);
+        assert_eq!(
+            pkt.to_wire(),
+            [&[0xEE][..], &[1; 4], &[9; 4], &[3; 4], &[9; 4]].concat()
+        );
+    }
+
+    #[test]
+    fn headers_stay_outermost_first_across_many_pushes() {
+        // Pushes of varied sizes walk the header stack through the inline
+        // headroom and past it; each step must read back as the reference
+        // built by prepending to a vector.
+        let l = ledger();
+        let mut b = NetBuf::new(&l);
+        b.append_bytes(&[0xAA; 5]);
+        let mut want: Vec<u8> = Vec::new();
+        for i in 0..40u8 {
+            let layer = vec![i; usize::from(i % 7) + 1];
+            b.push_header(&layer);
+            want.splice(0..0, layer.iter().copied());
+            assert_eq!(b.header(), &want[..], "after push {i}");
+        }
+        assert!(b.header_len() > HEADROOM, "the stack outgrew the headroom");
+        assert_eq!(b.total_len(), want.len() + 5);
+        assert_eq!(b.to_wire(), [&want[..], &[0xAA; 5]].concat());
+        assert_eq!(l.snapshot().header_bytes, want.len() as u64);
+    }
+
+    #[test]
+    fn a_header_larger_than_the_headroom_works_alone_and_stacked() {
+        let l = ledger();
+        let big = vec![7u8; HEADROOM + 1];
+        let mut b = NetBuf::new(&l);
+        b.push_header(&big);
+        assert_eq!(b.header(), &big[..]);
+        b.push_header(&[1, 2]);
+        assert_eq!(b.header(), [&[1, 2][..], &big[..]].concat());
+        // Exactly filling the headroom stays inline and still reads back.
+        let mut c = NetBuf::new(&l);
+        c.push_header(&[3u8; HEADROOM - 1]);
+        c.push_header(&[4]);
+        assert_eq!(c.header_len(), HEADROOM);
+        assert_eq!(c.header()[0], 4);
+        c.push_header(&[5]);
+        assert_eq!(c.header()[..2], [5, 4]);
+        assert_eq!(c.header_len(), HEADROOM + 1);
+    }
+
+    #[test]
+    fn shares_and_clones_keep_their_headers() {
+        let l = ledger();
+        for size in [8, HEADROOM + 8] {
+            let mut b = NetBuf::new(&l);
+            b.append_segment(Segment::from_vec(vec![1; 16]));
+            b.push_header(&vec![6u8; size]);
+            let shared = b.share();
+            let cloned = b.clone();
+            // Pushing onto the original leaves the copies as they were.
+            b.push_header(&[9]);
+            for copy in [&shared, &cloned] {
+                assert_eq!(copy.header(), &vec![6u8; size][..]);
+                assert_eq!(copy.payload_len(), 16);
+            }
+            assert_eq!(b.header_len(), size + 1);
+        }
+    }
+
+    #[test]
+    fn pull_into_matches_pull() {
+        let l = ledger();
+        let build = || {
+            let mut b = NetBuf::new(&l);
+            b.append_segment(Segment::from_vec(vec![1, 2]));
+            b.append_segment(Segment::from_vec(vec![3, 4, 5]));
+            b
+        };
+        let (mut a, mut b) = (build(), build());
+        let mut head = [0u8; 3];
+        a.pull_into(&mut head);
+        assert_eq!(head.to_vec(), b.pull(3));
+        assert_eq!(a.copy_payload_to_vec(), b.copy_payload_to_vec());
+        assert_eq!(a.segment_count(), b.segment_count());
     }
 
     #[test]

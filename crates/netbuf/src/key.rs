@@ -14,8 +14,73 @@
 //! both keys at once ("some NFS read replies may contain both an FHO key
 //! and an LBN key", §3.4), and the substitution engine must then consult the
 //! FHO cache before the LBN cache to preserve freshness.
+//!
+//! [`KeyMap`] is the hash map every integer-keyed server index uses (the
+//! NCache chunk map, the buffer cache, the storage image, the ghost
+//! tails). Its [`KeyHasher`] is a fixed multiply/xor-shift mixer instead
+//! of std's SipHash: the keys are LBNs the server allocates and
+//! ⟨file handle, block offset⟩ pairs of files it created, not strings
+//! chosen by a client, and no output depends on map iteration order
+//! (every ordered walk sorts by recency stamp first), so nothing is lost
+//! by dropping SipHash's randomized collision resistance.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// A fixed, unseeded hasher for small integer keys: each written word is
+/// folded in with a multiply, and [`Hasher::finish`] runs an xor-shift
+/// finalizer so the high bits reach the low bits the table indexes with
+/// (block-aligned byte offsets have twelve zero low bits).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(23) ^ n).wrapping_mul(Self::K);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0 ^ (self.0 >> 32);
+        let h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h ^ (h >> 29)
+    }
+}
+
+/// Builds [`KeyHasher`]s (all identical: the hasher has no seed).
+pub type BuildKeyHasher = BuildHasherDefault<KeyHasher>;
+
+/// A hash map over server-derived integer keys, hashed with
+/// [`KeyHasher`].
+pub type KeyMap<K, V> = HashMap<K, V, BuildKeyHasher>;
 
 /// A logical block number on the storage server's virtual disk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -261,11 +326,51 @@ mod tests {
 
     #[test]
     fn cache_keys_order_and_hash() {
-        use std::collections::HashMap;
-        let mut m = HashMap::new();
+        let mut m = KeyMap::default();
         m.insert(CacheKey::from(Lbn(1)), "a");
         m.insert(CacheKey::from(Fho::new(FileHandle(1), 0)), "b");
         assert_eq!(m.len(), 2);
         assert_eq!(m[&CacheKey::Lbn(Lbn(1))], "a");
+    }
+
+    fn hash_of<T: std::hash::Hash>(v: &T) -> u64 {
+        use std::hash::BuildHasher;
+        BuildKeyHasher::default().hash_one(v)
+    }
+
+    #[test]
+    fn key_hasher_is_fixed_and_separates_key_kinds() {
+        // No per-process seed: the same key always hashes the same.
+        assert_eq!(hash_of(&Lbn(7)), hash_of(&Lbn(7)));
+        assert_ne!(
+            hash_of(&CacheKey::Lbn(Lbn(7))),
+            hash_of(&CacheKey::Fho(Fho::new(FileHandle(0), 7)))
+        );
+        // A byte-slice write agrees with the word it spells.
+        let mut a = KeyHasher::default();
+        a.write(&9u64.to_le_bytes());
+        let mut b = KeyHasher::default();
+        b.write_u64(9);
+        assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn key_hasher_spreads_block_aligned_offsets_over_low_bits() {
+        // Byte offsets of 4 KiB blocks and sequential LBNs must fill a
+        // power-of-two table's buckets about evenly: count the distinct
+        // low 10 bits over 1024 keys of each shape.
+        let lows = |hashes: Vec<u64>| {
+            let mut seen = std::collections::BTreeSet::new();
+            for h in hashes {
+                seen.insert(h & 1023);
+            }
+            seen.len()
+        };
+        let fho = (0..1024u64)
+            .map(|i| hash_of(&CacheKey::Fho(Fho::new(FileHandle(3), i * 4096))))
+            .collect();
+        let lbn = (0..1024u64).map(|i| hash_of(&(i + 5000))).collect();
+        assert!(lows(fho) > 550, "block offsets collide in the low bits");
+        assert!(lows(lbn) > 550, "sequential LBNs collide in the low bits");
     }
 }

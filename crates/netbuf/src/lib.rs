@@ -51,8 +51,8 @@ pub mod pool;
 pub mod segment;
 
 pub use accounting::{CopyLedger, LedgerSnapshot};
-pub use buf::NetBuf;
+pub use buf::{NetBuf, HEADROOM};
 pub use mbuf::MbufChain;
-pub use key::{CacheKey, FileHandle, Fho, Lbn};
+pub use key::{CacheKey, Fho, FileHandle, KeyMap, Lbn};
 pub use pool::{BufPool, SlabStats, SLAB_SIZE};
 pub use segment::Segment;

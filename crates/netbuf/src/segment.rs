@@ -128,6 +128,12 @@ impl Segment {
         }
     }
 
+    /// Shortens the view to its first `len` bytes (no-op if it is already
+    /// that short). Shares storage; no bytes move.
+    pub fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+
     /// Splits the view at `at`, returning `(front, back)`. Shares storage.
     ///
     /// # Panics

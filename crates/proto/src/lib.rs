@@ -18,6 +18,7 @@
 //! * [`iscsi`] — the SCSI command / Data-In / Data-Out PDU subset the
 //!   NFS-server-to-storage-server path uses.
 //! * [`http`] — HTTP/1.0 requests and responses for the kHTTPd experiments.
+//! * [`xdr`] — the stack array the bounded RPC/NFS headers encode into.
 //!
 //! All decode functions are pure: `&[u8]` in, structured header out, with
 //! byte-exact round-trip tests and property tests in each module.
@@ -32,5 +33,7 @@ pub mod nfs;
 pub mod rpc;
 pub mod tcp;
 pub mod udp;
+pub mod xdr;
 
 pub use error::{DecodeError, Result};
+pub use xdr::Encoded;

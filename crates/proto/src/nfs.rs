@@ -7,8 +7,11 @@
 //!
 //! Encoders produce *header bytes only*; bulk data rides as attached
 //! `NetBuf` segments so the zero-copy paths can splice it without movement.
+//! Bounded headers encode into stack arrays ([`Encoded`]); only bodies
+//! carrying names (LOOKUP, CREATE, READDIR) build heap vectors.
 
 use crate::error::{need, DecodeError, Result};
+use crate::xdr::Encoded;
 
 /// NFSv2 procedure numbers (RFC 1094).
 pub mod proc {
@@ -81,9 +84,11 @@ fn get_u32(b: &[u8], at: usize) -> u32 {
     u32::from_be_bytes(b[at..at + 4].try_into().expect("4 bytes"))
 }
 
-fn put_fh(b: &mut Vec<u8>, fh: u64) {
-    b.extend_from_slice(&fh.to_be_bytes());
-    b.extend_from_slice(&[0u8; FH_LEN - 8]);
+/// The 32-byte opaque handle: the 8-byte id, zero-padded.
+fn fh_bytes(fh: u64) -> [u8; FH_LEN] {
+    let mut b = [0u8; FH_LEN];
+    b[..8].copy_from_slice(&fh.to_be_bytes());
+    b
 }
 
 fn get_fh(b: &[u8], at: usize) -> u64 {
@@ -106,24 +111,26 @@ pub struct Fattr {
 
 impl Fattr {
     /// Encodes the 68-byte fattr.
-    pub fn encode_into(&self, b: &mut Vec<u8>) {
-        put_u32(b, self.ftype.to_u32());
-        put_u32(b, 0o644); // mode
-        put_u32(b, 1); // nlink
-        put_u32(b, 0); // uid
-        put_u32(b, 0); // gid
-        put_u32(b, self.size);
-        put_u32(b, 4096); // blocksize
-        put_u32(b, 0); // rdev
-        put_u32(b, self.size.div_ceil(4096)); // blocks
-        put_u32(b, 0); // fsid
-        put_u32(b, self.fileid);
-        put_u32(b, 0); // atime sec
-        put_u32(b, 0); // atime usec
-        put_u32(b, self.mtime);
-        put_u32(b, 0); // mtime usec
-        put_u32(b, self.mtime);
-        put_u32(b, 0); // ctime usec
+    pub fn encode(&self) -> [u8; FATTR_LEN] {
+        let mut b = Encoded::<FATTR_LEN>::new();
+        b.put_u32(self.ftype.to_u32())
+            .put_u32(0o644) // mode
+            .put_u32(1) // nlink
+            .put_u32(0) // uid
+            .put_u32(0) // gid
+            .put_u32(self.size)
+            .put_u32(4096) // blocksize
+            .put_u32(0) // rdev
+            .put_u32(self.size.div_ceil(4096)) // blocks
+            .put_u32(0) // fsid
+            .put_u32(self.fileid)
+            .put_u32(0) // atime sec
+            .put_u32(0) // atime usec
+            .put_u32(self.mtime)
+            .put_u32(0) // mtime usec
+            .put_u32(self.mtime)
+            .put_u32(0); // ctime usec
+        b.into_array()
     }
 
     /// Decodes a 68-byte fattr from `b[at..]`.
@@ -152,10 +159,8 @@ pub struct GetattrArgs {
 
 impl GetattrArgs {
     /// Encodes the body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(FH_LEN);
-        put_fh(&mut b, self.fh);
-        b
+    pub fn encode(&self) -> [u8; FH_LEN] {
+        fh_bytes(self.fh)
     }
 
     /// Decodes the body.
@@ -182,7 +187,7 @@ impl LookupArgs {
     /// Encodes the body (XDR string: length, bytes, pad to 4).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();
-        put_fh(&mut b, self.dir_fh);
+        b.extend_from_slice(&fh_bytes(self.dir_fh));
         put_u32(&mut b, self.name.len() as u32);
         b.extend_from_slice(self.name.as_bytes());
         while b.len() % 4 != 0 {
@@ -223,13 +228,15 @@ pub struct LookupReply {
 }
 
 impl LookupReply {
+    /// Encoded length of a success reply.
+    pub const OK_LEN: usize = 4 + FH_LEN + FATTR_LEN;
+
     /// Encodes the body (error replies carry only the status word).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u32(&mut b, self.status);
+    pub fn encode(&self) -> Encoded<{ LookupReply::OK_LEN }> {
+        let mut b = Encoded::new();
+        b.put_u32(self.status);
         if self.status == NFS_OK {
-            put_fh(&mut b, self.fh);
-            self.attrs.encode_into(&mut b);
+            b.put(&fh_bytes(self.fh)).put(&self.attrs.encode());
         }
         b
     }
@@ -248,7 +255,7 @@ impl LookupReply {
                 ..LookupReply::default()
             });
         }
-        need(b, 4 + FH_LEN + FATTR_LEN)?;
+        need(b, Self::OK_LEN)?;
         Ok(LookupReply {
             status,
             fh: get_fh(b, 4),
@@ -269,14 +276,17 @@ pub struct ReadArgs {
 }
 
 impl ReadArgs {
+    /// Encoded length.
+    pub const LEN: usize = FH_LEN + 12;
+
     /// Encodes the body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(FH_LEN + 12);
-        put_fh(&mut b, self.fh);
-        put_u32(&mut b, self.offset);
-        put_u32(&mut b, self.count);
-        put_u32(&mut b, self.count); // totalcount (unused, RFC 1094)
-        b
+    pub fn encode(&self) -> [u8; ReadArgs::LEN] {
+        let mut b = Encoded::<{ ReadArgs::LEN }>::new();
+        b.put(&fh_bytes(self.fh))
+            .put_u32(self.offset)
+            .put_u32(self.count)
+            .put_u32(self.count); // totalcount (unused, RFC 1094)
+        b.into_array()
     }
 
     /// Decodes the body.
@@ -285,7 +295,7 @@ impl ReadArgs {
     ///
     /// [`DecodeError::Truncated`] on short input.
     pub fn decode(b: &[u8]) -> Result<ReadArgs> {
-        need(b, FH_LEN + 12)?;
+        need(b, Self::LEN)?;
         Ok(ReadArgs {
             fh: get_fh(b, 0),
             offset: get_u32(b, FH_LEN),
@@ -311,12 +321,11 @@ impl ReadReplyHeader {
     pub const OK_LEN: usize = 4 + FATTR_LEN + 4;
 
     /// Encodes the header (error replies carry only the status word).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u32(&mut b, self.status);
+    pub fn encode(&self) -> Encoded<{ ReadReplyHeader::OK_LEN }> {
+        let mut b = Encoded::new();
+        b.put_u32(self.status);
         if self.status == NFS_OK {
-            self.attrs.encode_into(&mut b);
-            put_u32(&mut b, self.count);
+            b.put(&self.attrs.encode()).put_u32(self.count);
         }
         b
     }
@@ -360,14 +369,14 @@ impl WriteArgsHeader {
     pub const LEN: usize = FH_LEN + 16;
 
     /// Encodes the header.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::LEN);
-        put_fh(&mut b, self.fh);
-        put_u32(&mut b, 0); // beginoffset (unused, RFC 1094)
-        put_u32(&mut b, self.offset);
-        put_u32(&mut b, 0); // totalcount (unused)
-        put_u32(&mut b, self.count);
-        b
+    pub fn encode(&self) -> [u8; WriteArgsHeader::LEN] {
+        let mut b = Encoded::<{ WriteArgsHeader::LEN }>::new();
+        b.put(&fh_bytes(self.fh))
+            .put_u32(0) // beginoffset (unused, RFC 1094)
+            .put_u32(self.offset)
+            .put_u32(0) // totalcount (unused)
+            .put_u32(self.count);
+        b.into_array()
     }
 
     /// Decodes the header.
@@ -395,12 +404,15 @@ pub struct WriteReply {
 }
 
 impl WriteReply {
+    /// Encoded length of a success reply.
+    pub const OK_LEN: usize = 4 + FATTR_LEN;
+
     /// Encodes the body (error replies carry only the status word).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u32(&mut b, self.status);
+    pub fn encode(&self) -> Encoded<{ WriteReply::OK_LEN }> {
+        let mut b = Encoded::new();
+        b.put_u32(self.status);
         if self.status == NFS_OK {
-            self.attrs.encode_into(&mut b);
+            b.put(&self.attrs.encode());
         }
         b
     }
@@ -482,8 +494,8 @@ pub struct RemoveReply {
 
 impl RemoveReply {
     /// Encodes the body.
-    pub fn encode(&self) -> Vec<u8> {
-        self.status.to_be_bytes().to_vec()
+    pub fn encode(&self) -> [u8; 4] {
+        self.status.to_be_bytes()
     }
 
     /// Decodes the body.
@@ -515,12 +527,12 @@ impl ReaddirArgs {
     pub const LEN: usize = FH_LEN + 8;
 
     /// Encodes the body.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(Self::LEN);
-        put_fh(&mut b, self.fh);
-        put_u32(&mut b, self.cookie);
-        put_u32(&mut b, self.count);
-        b
+    pub fn encode(&self) -> [u8; ReaddirArgs::LEN] {
+        let mut b = Encoded::<{ ReaddirArgs::LEN }>::new();
+        b.put(&fh_bytes(self.fh))
+            .put_u32(self.cookie)
+            .put_u32(self.count);
+        b.into_array()
     }
 
     /// Decodes the body.
@@ -643,11 +655,106 @@ mod tests {
         }
     }
 
+    /// The heap encoders the bounded headers used before they encoded
+    /// into stack arrays, kept as the byte-layout oracle.
+    mod vec_oracle {
+        use super::super::*;
+
+        fn put_fh(b: &mut Vec<u8>, fh: u64) {
+            b.extend_from_slice(&fh.to_be_bytes());
+            b.extend_from_slice(&[0u8; FH_LEN - 8]);
+        }
+
+        pub fn fattr(a: &Fattr, b: &mut Vec<u8>) {
+            for w in [
+                a.ftype.to_u32(),
+                0o644,
+                1,
+                0,
+                0,
+                a.size,
+                4096,
+                0,
+                a.size.div_ceil(4096),
+                0,
+                a.fileid,
+                0,
+                0,
+                a.mtime,
+                0,
+                a.mtime,
+                0,
+            ] {
+                put_u32(b, w);
+            }
+        }
+
+        pub fn getattr_args(a: &GetattrArgs) -> Vec<u8> {
+            let mut b = Vec::new();
+            put_fh(&mut b, a.fh);
+            b
+        }
+
+        pub fn lookup_reply(r: &LookupReply) -> Vec<u8> {
+            let mut b = Vec::new();
+            put_u32(&mut b, r.status);
+            if r.status == NFS_OK {
+                put_fh(&mut b, r.fh);
+                fattr(&r.attrs, &mut b);
+            }
+            b
+        }
+
+        pub fn read_args(a: &ReadArgs) -> Vec<u8> {
+            let mut b = Vec::new();
+            put_fh(&mut b, a.fh);
+            put_u32(&mut b, a.offset);
+            put_u32(&mut b, a.count);
+            put_u32(&mut b, a.count);
+            b
+        }
+
+        pub fn read_reply_header(h: &ReadReplyHeader) -> Vec<u8> {
+            let mut b = Vec::new();
+            put_u32(&mut b, h.status);
+            if h.status == NFS_OK {
+                fattr(&h.attrs, &mut b);
+                put_u32(&mut b, h.count);
+            }
+            b
+        }
+
+        pub fn write_args_header(h: &WriteArgsHeader) -> Vec<u8> {
+            let mut b = Vec::new();
+            put_fh(&mut b, h.fh);
+            put_u32(&mut b, 0);
+            put_u32(&mut b, h.offset);
+            put_u32(&mut b, 0);
+            put_u32(&mut b, h.count);
+            b
+        }
+
+        pub fn write_reply(r: &WriteReply) -> Vec<u8> {
+            let mut b = Vec::new();
+            put_u32(&mut b, r.status);
+            if r.status == NFS_OK {
+                fattr(&r.attrs, &mut b);
+            }
+            b
+        }
+
+        pub fn readdir_args(a: &ReaddirArgs) -> Vec<u8> {
+            let mut b = Vec::new();
+            put_fh(&mut b, a.fh);
+            put_u32(&mut b, a.cookie);
+            put_u32(&mut b, a.count);
+            b
+        }
+    }
+
     #[test]
     fn fattr_round_trip() {
-        let mut b = Vec::new();
-        attrs().encode_into(&mut b);
-        assert_eq!(b.len(), FATTR_LEN);
+        let b = attrs().encode();
         assert_eq!(Fattr::decode(&b, 0), Ok(attrs()));
     }
 
@@ -657,15 +764,12 @@ mod tests {
             ftype: FileType::Directory,
             ..attrs()
         };
-        let mut b = Vec::new();
-        a.encode_into(&mut b);
-        assert_eq!(Fattr::decode(&b, 0), Ok(a));
+        assert_eq!(Fattr::decode(&a.encode(), 0), Ok(a));
     }
 
     #[test]
     fn fattr_bad_type_rejected() {
-        let mut b = Vec::new();
-        attrs().encode_into(&mut b);
+        let mut b = attrs().encode();
         b[3] = 9;
         assert_eq!(Fattr::decode(&b, 0), Err(DecodeError::Unsupported("file type")));
     }
@@ -845,9 +949,58 @@ mod tests {
 
         fn prop_fattr_round_trip(size in any_u32(), id in any_u32(), mt in any_u32()) {
             let a = Fattr { ftype: FileType::Regular, size, fileid: id, mtime: mt };
-            let mut b = Vec::new();
-            a.encode_into(&mut b);
-            prop_assert_eq!(Fattr::decode(&b, 0), Ok(a));
+            prop_assert_eq!(Fattr::decode(&a.encode(), 0), Ok(a));
+        }
+
+        fn prop_stack_encoders_match_the_vec_oracle(
+            fh in any_u64(),
+            a in any_u32(),
+            b in any_u32(),
+            status in one_of(vec![boxed(just(NFS_OK)), boxed(just(NFSERR_IO)), boxed(just(NFSERR_JUKEBOX))]),
+            dir in any_bool(),
+        ) {
+            let attrs = Fattr {
+                ftype: if dir { FileType::Directory } else { FileType::Regular },
+                size: a,
+                fileid: b,
+                mtime: a ^ b,
+            };
+            let mut want = Vec::new();
+            vec_oracle::fattr(&attrs, &mut want);
+            prop_assert_eq!(attrs.encode().to_vec(), want);
+
+            let g = GetattrArgs { fh };
+            prop_assert_eq!(g.encode().to_vec(), vec_oracle::getattr_args(&g));
+            prop_assert_eq!(GetattrArgs::decode(&g.encode()), Ok(g));
+
+            let l = LookupReply { status, fh, attrs };
+            let want = if status == NFS_OK { l } else { LookupReply { status, ..LookupReply::default() } };
+            prop_assert_eq!(l.encode().to_vec(), vec_oracle::lookup_reply(&l));
+            prop_assert_eq!(LookupReply::decode(&l.encode()), Ok(want));
+
+            let r = ReadArgs { fh, offset: a, count: b };
+            prop_assert_eq!(r.encode().to_vec(), vec_oracle::read_args(&r));
+
+            let h = ReadReplyHeader { status, attrs, count: b };
+            let want = if status == NFS_OK { h } else { ReadReplyHeader { status, ..ReadReplyHeader::default() } };
+            prop_assert_eq!(h.encode().to_vec(), vec_oracle::read_reply_header(&h));
+            prop_assert_eq!(ReadReplyHeader::decode(&h.encode()), Ok(want));
+
+            let w = WriteArgsHeader { fh, offset: a, count: b };
+            prop_assert_eq!(w.encode().to_vec(), vec_oracle::write_args_header(&w));
+
+            let wr = WriteReply { status, attrs };
+            let want = if status == NFS_OK { wr } else { WriteReply { status, ..WriteReply::default() } };
+            prop_assert_eq!(wr.encode().to_vec(), vec_oracle::write_reply(&wr));
+            prop_assert_eq!(WriteReply::decode(&wr.encode()), Ok(want));
+
+            let rm = RemoveReply { status };
+            prop_assert_eq!(rm.encode().to_vec(), status.to_be_bytes().to_vec());
+            prop_assert_eq!(RemoveReply::decode(&rm.encode()), Ok(rm));
+
+            let d = ReaddirArgs { fh, cookie: a, count: b };
+            prop_assert_eq!(d.encode().to_vec(), vec_oracle::readdir_args(&d));
+            prop_assert_eq!(ReaddirArgs::decode(&d.encode()), Ok(d));
         }
     }
 }

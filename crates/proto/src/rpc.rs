@@ -7,6 +7,7 @@
 //! are replaced" (paper §3.3).
 
 use crate::error::{need, DecodeError, Result};
+use crate::xdr::Encoded;
 
 /// Encoded length of a call header with AUTH_NONE credentials.
 pub const CALL_LEN: usize = 40;
@@ -20,10 +21,6 @@ pub const NFS_VERS: u32 = 2;
 const MSG_CALL: u32 = 0;
 const MSG_REPLY: u32 = 1;
 const RPC_VERSION: u32 = 2;
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_be_bytes());
-}
 
 fn get_u32(buf: &[u8], at: usize) -> u32 {
     u32::from_be_bytes(buf[at..at + 4].try_into().expect("4 bytes"))
@@ -54,19 +51,19 @@ impl RpcCall {
     }
 
     /// Encodes to the 40-byte wire form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(CALL_LEN);
-        put_u32(&mut b, self.xid);
-        put_u32(&mut b, MSG_CALL);
-        put_u32(&mut b, RPC_VERSION);
-        put_u32(&mut b, self.prog);
-        put_u32(&mut b, self.vers);
-        put_u32(&mut b, self.proc);
-        put_u32(&mut b, 0); // cred flavor AUTH_NONE
-        put_u32(&mut b, 0); // cred length
-        put_u32(&mut b, 0); // verf flavor
-        put_u32(&mut b, 0); // verf length
-        b
+    pub fn encode(&self) -> [u8; CALL_LEN] {
+        let mut b = Encoded::<CALL_LEN>::new();
+        b.put_u32(self.xid)
+            .put_u32(MSG_CALL)
+            .put_u32(RPC_VERSION)
+            .put_u32(self.prog)
+            .put_u32(self.vers)
+            .put_u32(self.proc)
+            .put_u32(0) // cred flavor AUTH_NONE
+            .put_u32(0) // cred length
+            .put_u32(0) // verf flavor
+            .put_u32(0); // verf length
+        b.into_array()
     }
 
     /// Decodes from the head of `buf`.
@@ -119,15 +116,15 @@ impl RpcReply {
     }
 
     /// Encodes to the 24-byte wire form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(REPLY_LEN);
-        put_u32(&mut b, self.xid);
-        put_u32(&mut b, MSG_REPLY);
-        put_u32(&mut b, 0); // MSG_ACCEPTED
-        put_u32(&mut b, 0); // verf flavor
-        put_u32(&mut b, 0); // verf length
-        put_u32(&mut b, 0); // SUCCESS
-        b
+    pub fn encode(&self) -> [u8; REPLY_LEN] {
+        let mut b = Encoded::<REPLY_LEN>::new();
+        b.put_u32(self.xid)
+            .put_u32(MSG_REPLY)
+            .put_u32(0) // MSG_ACCEPTED
+            .put_u32(0) // verf flavor
+            .put_u32(0) // verf length
+            .put_u32(0); // SUCCESS
+        b.into_array()
     }
 
     /// Decodes from the head of `buf`.
@@ -158,6 +155,39 @@ mod tests {
     use super::*;
     use check::gen::*;
     use check::{prop_assert_eq, property};
+
+    /// The heap encoders these headers used before they encoded into
+    /// stack arrays, kept as the byte-layout oracle.
+    mod vec_oracle {
+        use super::super::*;
+
+        fn words(ws: &[u32]) -> Vec<u8> {
+            let mut b = Vec::new();
+            for w in ws {
+                b.extend_from_slice(&w.to_be_bytes());
+            }
+            b
+        }
+
+        pub fn call(c: &RpcCall) -> Vec<u8> {
+            words(&[
+                c.xid,
+                MSG_CALL,
+                RPC_VERSION,
+                c.prog,
+                c.vers,
+                c.proc,
+                0,
+                0,
+                0,
+                0,
+            ])
+        }
+
+        pub fn reply(r: &RpcReply) -> Vec<u8> {
+            words(&[r.xid, MSG_REPLY, 0, 0, 0, 0])
+        }
+    }
 
     #[test]
     fn call_round_trip() {
@@ -212,12 +242,14 @@ mod tests {
     property! {
         fn prop_call_round_trip(xid in any_u32(), prog in any_u32(), vers in any_u32(), pr in any_u32()) {
             let c = RpcCall { xid, prog, vers, proc: pr };
+            prop_assert_eq!(c.encode().to_vec(), vec_oracle::call(&c));
             prop_assert_eq!(RpcCall::decode(&c.encode()), Ok(c));
             prop_assert_eq!(RpcCall::peek_proc(&c.encode()), Ok(pr));
         }
 
         fn prop_reply_round_trip(xid in any_u32()) {
             let r = RpcReply::new(xid);
+            prop_assert_eq!(r.encode().to_vec(), vec_oracle::reply(&r));
             prop_assert_eq!(RpcReply::decode(&r.encode()), Ok(r));
         }
     }

@@ -12,6 +12,7 @@
 use ncache::{HttpTxTracker, NcacheModule, TxDisposition};
 use netbuf::{CopyLedger, NetBuf};
 use proto::http::{HttpRequest, HttpResponseHeader};
+use simfs::fs::LogicalBlock;
 use simfs::{Filesystem, FsError, Ino};
 
 use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
@@ -64,6 +65,9 @@ pub struct KhttpdServer {
     fault_recovery: bool,
     /// The overload control plane, when installed (off by default).
     control: Option<ControlPlane>,
+    /// The block list of the last logical page read, refilled by each
+    /// GET (always left empty between requests).
+    read_blocks: Vec<LogicalBlock>,
 }
 
 impl KhttpdServer {
@@ -92,6 +96,7 @@ impl KhttpdServer {
             recorder: obs::Recorder::new(),
             fault_recovery: false,
             control: None,
+            read_blocks: Vec::new(),
         }
     }
 
@@ -233,14 +238,16 @@ impl KhttpdServer {
                         // Key-moving sendfile: attach cache blocks by
                         // reference, revalidating stamped placeholders
                         // against the network-centric cache first.
-                        let blocks = self
-                            .fs
-                            .read_logical(ino, 0, size as usize)
+                        let mut blocks = std::mem::take(&mut self.read_blocks);
+                        self.fs
+                            .read_logical(ino, 0, size as usize, &mut blocks)
                             .expect("page readable");
-                        if self.placeholders_resolvable(&blocks) {
+                        let n = if self.placeholders_resolvable(&blocks) {
+                            response.reserve_segments(blocks.len());
                             let mut n = 0;
-                            for b in &blocks {
-                                response.append_segment(b.seg.slice(0, b.valid_len));
+                            for mut b in blocks.drain(..) {
+                                b.seg.truncate(b.valid_len);
+                                response.append_segment(b.seg);
                                 n += b.valid_len;
                             }
                             n
@@ -264,7 +271,10 @@ impl KhttpdServer {
                             self.fs
                                 .sendfile_into(ino, 0, size as usize, &mut response)
                                 .expect("page readable")
-                        }
+                        };
+                        blocks.clear();
+                        self.read_blocks = blocks;
+                        n
                     }
                 };
                 self.stats.bytes_served += body_len as u64;
@@ -310,14 +320,14 @@ impl KhttpdServer {
         let module = self.module.clone().expect("NCache build");
         let block = simfs::BLOCK_SIZE;
         let mut out = Vec::with_capacity(len);
+        let mut blocks = Vec::new();
         let mut off = 0usize;
         while off < len {
             let want = block.min(len - off);
             let mut resolved = false;
             for _attempt in 0..3 {
-                let blocks = self
-                    .fs
-                    .read_logical(ino, off as u64, want)
+                self.fs
+                    .read_logical(ino, off as u64, want, &mut blocks)
                     .expect("page readable");
                 let b = &blocks[0];
                 match netbuf::key::KeyStamp::decode(b.seg.as_slice()) {
@@ -366,7 +376,7 @@ impl KhttpdServer {
 
     /// Revalidation (NCache build only): every stamped placeholder must
     /// still resolve in the network-centric cache.
-    fn placeholders_resolvable(&self, blocks: &[simfs::fs::LogicalBlock]) -> bool {
+    fn placeholders_resolvable(&self, blocks: &[LogicalBlock]) -> bool {
         let Some(module) = &self.module else {
             return true; // the baseline ships junk by design
         };

@@ -21,6 +21,7 @@ use proto::nfs::{
     WriteReply, NFSERR_IO, NFSERR_JUKEBOX, NFSERR_NOENT, NFS_OK,
 };
 use proto::rpc::{RpcCall, RpcReply, CALL_LEN};
+use simfs::fs::LogicalBlock;
 use simfs::inode::FileType;
 use simfs::{Filesystem, FsError, Ino};
 
@@ -167,6 +168,9 @@ pub struct NfsServer {
     /// The overload control plane, when installed (off by default — a
     /// server without one behaves exactly as before).
     control: Option<ControlPlane>,
+    /// The block list of the last logical READ, kept so each READ refills
+    /// it instead of allocating one (always left empty between requests).
+    read_blocks: Vec<LogicalBlock>,
 }
 
 /// Default duplicate-request cache depth — enough to cover any plausible
@@ -235,6 +239,7 @@ impl NfsServer {
             drc: VecDeque::new(),
             drc_capacity: DRC_CAPACITY,
             control: None,
+            read_blocks: Vec::new(),
         }
     }
 
@@ -352,7 +357,7 @@ impl NfsServer {
     pub fn handle_message(&mut self, mut req: NetBuf) -> NetBuf {
         self.stats.requests.add(1);
         let req_bytes = req.payload_len() as u64;
-        let call = take(&mut req, CALL_LEN).and_then(|h| RpcCall::decode(&h).ok());
+        let call = take::<CALL_LEN>(&mut req).and_then(|h| RpcCall::decode(&h).ok());
         let Some(call) = call else {
             // Malformed RPC: a production server drops these; replying
             // with an error keeps closed-loop clients alive and never
@@ -385,7 +390,7 @@ impl NfsServer {
             if let Some((_, bytes)) = self.drc.iter().find(|(xid, _)| *xid == call.xid) {
                 self.stats.drc_hits.add(1);
                 let mut r = NetBuf::new(&self.ledger);
-                r.push_header(&bytes.clone());
+                r.push_header(bytes);
                 self.recorder.add_counter("fault.drc_hits", 1);
                 self.recorder.end_span(span);
                 return r;
@@ -526,7 +531,8 @@ impl NfsServer {
         if size == 0 {
             return;
         }
-        if let Ok(blocks) = self.fs.read_logical(ino, 0, size) {
+        let mut blocks = Vec::new();
+        if self.fs.read_logical(ino, 0, size, &mut blocks).is_ok() {
             let mut m = module.borrow_mut();
             for b in &blocks {
                 if let Some(stamp) = KeyStamp::decode(b.seg.as_slice()) {
@@ -543,7 +549,8 @@ impl NfsServer {
 
     fn do_readdir(&mut self, req: &mut NetBuf) -> NetBuf {
         self.stats.metadata_ops.add(1);
-        let Some(args) = take(req, ReaddirArgs::LEN).and_then(|b| ReaddirArgs::decode(&b).ok())
+        let Some(args) =
+            take::<{ ReaddirArgs::LEN }>(req).and_then(|b| ReaddirArgs::decode(&b).ok())
         else {
             return self.garbage_reply();
         };
@@ -660,8 +667,10 @@ impl NfsServer {
         let module = self.module.clone().expect("NCache build");
         let aligned_start = offset - offset % BLOCK as u64;
         let span = (offset + len as u64 - aligned_start) as usize;
+        let mut blocks = Vec::new();
         for _attempt in 0..3 {
-            let blocks = self.fs.read_logical(ino, aligned_start, span)?;
+            self.fs
+                .read_logical(ino, aligned_start, span, &mut blocks)?;
             let mut out = Vec::with_capacity(span);
             let mut dangling = false;
             {
@@ -716,7 +725,7 @@ impl NfsServer {
     /// checksum — a corrupt entry is invalidated and reported missing, so
     /// the caller degrades to the copying path (refetch) instead of
     /// shipping poison.
-    fn placeholders_resolvable(&self, blocks: &[simfs::fs::LogicalBlock]) -> bool {
+    fn placeholders_resolvable(&self, blocks: &[LogicalBlock]) -> bool {
         let Some(module) = &self.module else {
             return true; // the baseline ships junk by design
         };
@@ -803,15 +812,16 @@ impl NfsServer {
 
     fn do_getattr(&mut self, req: &mut NetBuf) -> NetBuf {
         self.stats.metadata_ops.add(1);
-        let Some(args) = take(req, nfs::FH_LEN).and_then(|b| GetattrArgs::decode(&b).ok())
+        let Some(args) = take::<{ nfs::FH_LEN }>(req).and_then(|b| GetattrArgs::decode(&b).ok())
         else {
             return self.garbage_reply();
         };
         let mut r = NetBuf::new(&self.ledger);
         match self.fs.getattr(fh_to_ino(args.fh)) {
             Ok(inode) => {
-                let mut body = NFS_OK.to_be_bytes().to_vec();
-                fattr_of(args.fh, &inode).encode_into(&mut body);
+                let mut body = [0u8; 4 + nfs::FATTR_LEN];
+                body[..4].copy_from_slice(&NFS_OK.to_be_bytes());
+                body[4..].copy_from_slice(&fattr_of(args.fh, &inode).encode());
                 r.push_header(&body);
             }
             Err(e) => {
@@ -861,7 +871,7 @@ impl NfsServer {
 
     fn do_read(&mut self, req: &mut NetBuf) -> NetBuf {
         self.stats.reads.add(1);
-        let Some(args) = take(req, nfs::FH_LEN + 12).and_then(|b| ReadArgs::decode(&b).ok())
+        let Some(args) = take::<{ ReadArgs::LEN }>(req).and_then(|b| ReadArgs::decode(&b).ok())
         else {
             return self.garbage_reply();
         };
@@ -876,46 +886,43 @@ impl NfsServer {
                 // buffer → network stack. The daemon buffer is handed off
                 // whole (append_vec), so the host does not duplicate it a
                 // third time.
-                let mut buf = vec![0u8; count];
-                self.fs.read(ino, offset, &mut buf).map(|n| {
-                    buf.truncate(n);
-                    reply.append_vec(buf);
-                    let attrs = self.fs.getattr(ino).expect("read target exists");
-                    (n, fattr_of(args.fh, &attrs))
-                })
+                self.copying_read(ino, offset, count, &mut reply)
+                    .map(|n| (n, self.fattr_after_read(ino, args.fh)))
             }
             ServerMode::NCache | ServerMode::Baseline => {
                 // Logical copy: attach the (placeholder) cache blocks by
                 // reference; the daemon never touches the payload.
                 let aligned = offset % BLOCK as u64 == 0;
                 if aligned {
-                    self.fs.read_logical(ino, offset, count).and_then(|blocks| {
-                        if !self.placeholders_resolvable(&blocks) {
-                            // A chunk was evicted while its placeholder
-                            // was still cached: drop the dangling blocks
-                            // and serve this request on the copying path.
-                            for b in &blocks {
-                                if let Some(l) = b.lbn {
-                                    self.fs.discard_cached(l);
+                    let mut blocks = std::mem::take(&mut self.read_blocks);
+                    let outcome = self
+                        .fs
+                        .read_logical(ino, offset, count, &mut blocks)
+                        .and_then(|()| {
+                            if !self.placeholders_resolvable(&blocks) {
+                                // A chunk was evicted while its placeholder
+                                // was still cached: drop the dangling blocks
+                                // and serve this request on the copying path.
+                                for b in &blocks {
+                                    if let Some(l) = b.lbn {
+                                        self.fs.discard_cached(l);
+                                    }
                                 }
+                                return self.copying_read(ino, offset, count, &mut reply);
                             }
-                            let mut buf = vec![0u8; count];
-                            return self.fs.read(ino, offset, &mut buf).map(|n| {
-                                buf.truncate(n);
-                                reply.append_vec(buf);
-                                let attrs =
-                                    self.fs.getattr(ino).expect("read target exists");
-                                (n, fattr_of(args.fh, &attrs))
-                            });
-                        }
-                        let mut n = 0;
-                        for b in &blocks {
-                            reply.append_segment(b.seg.slice(0, b.valid_len));
-                            n += b.valid_len;
-                        }
-                        let attrs = self.fs.getattr(ino).expect("read target exists");
-                        Ok((n, fattr_of(args.fh, &attrs)))
-                    })
+                            reply.reserve_segments(blocks.len());
+                            let mut n = 0;
+                            for mut b in blocks.drain(..) {
+                                b.seg.truncate(b.valid_len);
+                                reply.append_segment(b.seg);
+                                n += b.valid_len;
+                            }
+                            Ok(n)
+                        })
+                        .map(|n| (n, self.fattr_after_read(ino, args.fh)));
+                    blocks.clear();
+                    self.read_blocks = blocks;
+                    outcome
                 } else if self.mode == ServerMode::NCache {
                     // Unaligned reads cannot ride the key-moving path (a
                     // partial-block slice loses its stamp): materialize the
@@ -931,13 +938,8 @@ impl NfsServer {
                     })
                 } else {
                     // The baseline ships junk; the copying path suffices.
-                    let mut buf = vec![0u8; count];
-                    self.fs.read(ino, offset, &mut buf).map(|n| {
-                        buf.truncate(n);
-                        reply.append_vec(buf);
-                        let attrs = self.fs.getattr(ino).expect("read target exists");
-                        (n, fattr_of(args.fh, &attrs))
-                    })
+                    self.copying_read(ino, offset, count, &mut reply)
+                        .map(|n| (n, self.fattr_after_read(ino, args.fh)))
                 }
             }
         };
@@ -968,6 +970,29 @@ impl NfsServer {
             }
         }
         reply
+    }
+
+    /// The copying READ path: the file's bytes in `[offset, offset +
+    /// count)`, clipped at end of file, become one owned payload segment
+    /// of `reply`. Returns the bytes read. The buffer is sized by the
+    /// file, never by the request's `count`.
+    fn copying_read(
+        &mut self,
+        ino: Ino,
+        offset: u64,
+        count: usize,
+        reply: &mut NetBuf,
+    ) -> Result<usize, FsError> {
+        let buf = self.fs.read_vec(ino, offset, count)?;
+        let n = buf.len();
+        reply.append_vec(buf);
+        Ok(n)
+    }
+
+    /// The post-read attributes of a file a READ just succeeded on.
+    fn fattr_after_read(&mut self, ino: Ino, fh: u64) -> Fattr {
+        let attrs = self.fs.getattr(ino).expect("read target exists");
+        fattr_of(fh, &attrs)
     }
 
     /// Whether `handle_read_fast` can serve this READ through `&self`
@@ -1020,14 +1045,14 @@ impl NfsServer {
     pub fn handle_read_fast(&self, mut req: NetBuf) -> NetBuf {
         self.stats.requests.add(1);
         let req_bytes = req.payload_len() as u64;
-        let call = take(&mut req, CALL_LEN)
+        let call = take::<CALL_LEN>(&mut req)
             .and_then(|h| RpcCall::decode(&h).ok())
             .expect("fast path requires a well-formed call");
         let span = self
             .recorder
             .begin_span(proc_name(call.proc), self.mode.label(), req_bytes);
         self.stats.reads.add(1);
-        let args = take(&mut req, nfs::FH_LEN + 12)
+        let args = take::<{ ReadArgs::LEN }>(&mut req)
             .and_then(|b| ReadArgs::decode(&b).ok())
             .expect("fast path requires well-formed READ args");
         let ino = fh_to_ino(args.fh);
@@ -1035,9 +1060,11 @@ impl NfsServer {
         let blocks = self
             .fs
             .read_logical_shared(ino, u64::from(args.offset), args.count as usize);
+        reply.reserve_segments(blocks.len());
         let mut n = 0;
-        for b in &blocks {
-            reply.append_segment(b.seg.slice(0, b.valid_len));
+        for mut b in blocks {
+            b.seg.truncate(b.valid_len);
+            reply.append_segment(b.seg);
             n += b.valid_len;
         }
         let attrs = self.fs.getattr_shared(ino);
@@ -1058,7 +1085,7 @@ impl NfsServer {
     fn do_write(&mut self, req: &mut NetBuf) -> NetBuf {
         self.stats.writes.add(1);
         let Some(hdr) =
-            take(req, WriteArgsHeader::LEN).and_then(|b| WriteArgsHeader::decode(&b).ok())
+            take::<{ WriteArgsHeader::LEN }>(req).and_then(|b| WriteArgsHeader::decode(&b).ok())
         else {
             return self.garbage_reply();
         };
@@ -1192,9 +1219,13 @@ fn proc_name(proc: u32) -> &'static str {
     }
 }
 
-/// Pulls `n` payload bytes if available.
-fn take(req: &mut NetBuf, n: usize) -> Option<Vec<u8>> {
-    (req.payload_len() >= n).then(|| req.pull(n))
+/// Pulls an `N`-byte fixed header into a stack array, if available.
+fn take<const N: usize>(req: &mut NetBuf) -> Option<[u8; N]> {
+    (req.payload_len() >= N).then(|| {
+        let mut hdr = [0u8; N];
+        req.pull_into(&mut hdr);
+        hdr
+    })
 }
 
 /// Maps a file system error to an NFS status code.

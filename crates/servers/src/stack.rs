@@ -287,6 +287,76 @@ mod tests {
     }
 
     #[test]
+    fn framed_headers_round_trip_inside_and_beyond_the_headroom() {
+        use proto::http::HttpResponseHeader;
+        use proto::iscsi::{DataIn, IscsiPdu, BHS_LEN};
+        use proto::nfs::{Fattr, ReadReplyHeader, NFS_OK};
+        use proto::rpc::{RpcReply, REPLY_LEN};
+
+        let (src, dst) = addrs();
+        let ledger = CopyLedger::new();
+        let body = Segment::from_vec(vec![0x42; 4096]);
+        let frame = |app_headers: &[&[u8]], udp: bool| {
+            let mut pkt = NetBuf::new(&ledger);
+            pkt.append_segment(body.clone());
+            for h in app_headers.iter().rev() {
+                pkt.push_header(h);
+            }
+            if udp {
+                udp_encap(&mut pkt, src, dst, 2049, 800, 1);
+            } else {
+                tcp_encap(&mut pkt, src, dst, 80, 5000, 7, 1);
+            }
+            pkt
+        };
+        let check_body = |rx: &NetBuf| {
+            assert!(rx.segments().any(|s| s.same_storage(&body)));
+            assert_eq!(rx.payload_len(), 4096);
+        };
+
+        // An NFS READ reply over UDP: 24 + 76 header bytes under 42 bytes
+        // of framing outgrow the inline headroom.
+        let rpc = RpcReply::new(9);
+        let read = ReadReplyHeader {
+            status: NFS_OK,
+            attrs: Fattr::default(),
+            count: 4096,
+        };
+        let pkt = frame(&[&rpc.encode(), &read.encode()], true);
+        assert!(pkt.header_len() > netbuf::HEADROOM);
+        let mut rx = deliver(&pkt, &ledger);
+        udp_decap(&mut rx).expect("valid frame");
+        assert_eq!(RpcReply::decode(&rx.pull(REPLY_LEN)), Ok(rpc));
+        assert_eq!(
+            ReadReplyHeader::decode(&rx.pull(ReadReplyHeader::OK_LEN)),
+            Ok(read)
+        );
+        check_body(&rx);
+
+        // A kHTTPd response over TCP.
+        let http = HttpResponseHeader::ok(4096).encode();
+        let mut rx = deliver(&frame(&[&http], false), &ledger);
+        tcp_decap(&mut rx).expect("valid frame");
+        assert_eq!(rx.pull(http.len()), http);
+        check_body(&rx);
+
+        // An iSCSI Data-In PDU over TCP.
+        let data_in = DataIn {
+            itt: 3,
+            lbn: 77,
+            data_len: 4096,
+            is_final: true,
+        };
+        let mut rx = deliver(&frame(&[&data_in.encode()], false), &ledger);
+        tcp_decap(&mut rx).expect("valid frame");
+        assert_eq!(
+            IscsiPdu::decode(&rx.pull(BHS_LEN)),
+            Ok(IscsiPdu::DataIn(data_in))
+        );
+        check_body(&rx);
+    }
+
+    #[test]
     fn tcp_round_trip() {
         let (src, dst) = addrs();
         let ledger = CopyLedger::new();

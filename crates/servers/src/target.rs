@@ -7,9 +7,7 @@
 //! every read copies disk buffer → PDU and every write copies PDU → disk
 //! buffer, charged to the storage server's own ledger.
 
-use std::collections::HashMap;
-
-use netbuf::{BufPool, CopyLedger, NetBuf};
+use netbuf::{BufPool, CopyLedger, KeyMap, NetBuf};
 use proto::iscsi::{
     DataIn, IscsiPdu, ReadyToTransfer, ScsiCommand, ScsiOp, ScsiResponse, BHS_LEN, BLOCK_SIZE,
 };
@@ -76,7 +74,7 @@ impl obs::StatsSnapshot for TargetStats {
 /// ```
 #[derive(Debug)]
 pub struct IscsiTarget {
-    image: HashMap<u64, Vec<u8>>,
+    image: KeyMap<u64, Vec<u8>>,
     block_count: u64,
     ledger: CopyLedger,
     stats: TargetStats,
@@ -94,7 +92,7 @@ impl IscsiTarget {
     /// A target exporting `block_count` blocks, charging `ledger`.
     pub fn new(block_count: u64, ledger: &CopyLedger) -> Self {
         IscsiTarget {
-            image: HashMap::new(),
+            image: KeyMap::default(),
             block_count,
             ledger: ledger.clone(),
             stats: TargetStats::default(),

@@ -20,10 +20,10 @@
 //! exactly because stamps are unique and only ever grow.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use netbuf::Segment;
+use netbuf::{KeyMap, Segment};
 
 use crate::store::BlockClass;
 
@@ -165,10 +165,7 @@ impl Clone for StatsCells {
 /// are unique and only grow, so the first settled entry is the true
 /// minimum of the class — the block the eager order map would have
 /// yielded.
-fn settle_head(
-    order: &mut BTreeMap<u64, u64>,
-    map: &mut HashMap<u64, Entry>,
-) -> Option<(u64, u64)> {
+fn settle_head(order: &mut BTreeMap<u64, u64>, map: &mut KeyMap<u64, Entry>) -> Option<(u64, u64)> {
     loop {
         let (&oseq, &lbn) = order.iter().next()?;
         let entry = map.get_mut(&lbn).expect("order index is consistent");
@@ -187,7 +184,7 @@ fn settle_head(
 /// # Examples
 ///
 /// ```
-/// use netbuf::Segment;
+/// use netbuf::{KeyMap, Segment};
 /// use simfs::{BlockClass, BufferCache};
 ///
 /// let mut cache = BufferCache::new(2);
@@ -200,7 +197,7 @@ fn settle_head(
 #[derive(Debug)]
 pub struct BufferCache {
     capacity: usize,
-    map: HashMap<u64, Entry>,
+    map: KeyMap<u64, Entry>,
     clean_data_order: BTreeMap<u64, u64>,
     clean_meta_order: BTreeMap<u64, u64>,
     dirty_order: BTreeMap<u64, u64>,
@@ -237,7 +234,7 @@ impl BufferCache {
     pub fn new(capacity: usize) -> Self {
         BufferCache {
             capacity,
-            map: HashMap::new(),
+            map: KeyMap::default(),
             clean_data_order: BTreeMap::new(),
             clean_meta_order: BTreeMap::new(),
             dirty_order: BTreeMap::new(),

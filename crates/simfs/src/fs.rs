@@ -448,10 +448,38 @@ impl<S: BlockStore> Filesystem<S> {
     /// [`FsError::NotAFile`] on directories; [`FsError::NotFound`] on free
     /// inodes.
     pub fn read(&mut self, ino: Ino, offset: u64, out: &mut [u8]) -> Result<usize, FsError> {
+        let inode = self.load_regular(ino)?;
+        self.copy_out(&inode, offset, out)
+    }
+
+    /// [`Filesystem::read`] into a fresh vector sized to what the file
+    /// holds: `min(count, size - offset)` bytes, so a request's `count`
+    /// never sizes an allocation past the end of the file. Same cache
+    /// accesses and ledger charges as [`Filesystem::read`].
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Filesystem::read`].
+    pub fn read_vec(&mut self, ino: Ino, offset: u64, count: usize) -> Result<Vec<u8>, FsError> {
+        let inode = self.load_regular(ino)?;
+        let avail = inode.size.saturating_sub(offset);
+        let mut out = vec![0u8; usize::try_from(avail).map_or(count, |a| a.min(count))];
+        self.copy_out(&inode, offset, &mut out)?;
+        Ok(out)
+    }
+
+    /// Loads `ino`, which must be a regular file.
+    fn load_regular(&mut self, ino: Ino) -> Result<Inode, FsError> {
         let inode = self.load_inode(ino)?;
         if inode.ftype != FileType::Regular {
             return Err(FsError::NotAFile);
         }
+        Ok(inode)
+    }
+
+    /// The copying read of an already loaded inode: copies each covered
+    /// block out of the buffer cache (charged); returns the bytes read.
+    fn copy_out(&mut self, inode: &Inode, offset: u64, out: &mut [u8]) -> Result<usize, FsError> {
         if offset >= inode.size {
             return Ok(0);
         }
@@ -462,7 +490,7 @@ impl<S: BlockStore> Filesystem<S> {
             let blk = pos / BLOCK_SIZE as u64;
             let in_off = (pos % BLOCK_SIZE as u64) as usize;
             let take = (BLOCK_SIZE - in_off).min(len - done);
-            match self.map_and_fetch(&inode, blk)? {
+            match self.map_and_fetch(inode, blk)? {
                 Some(seg) => {
                     out[done..done + take].copy_from_slice(&seg.as_slice()[in_off..in_off + take]);
                 }
@@ -551,35 +579,37 @@ impl<S: BlockStore> Filesystem<S> {
 
     // ----- logical (key-moving) data paths: the NCache interfaces -----
 
-    /// Reads blocks *by reference*: no payload bytes move; the returned
-    /// segments share storage with the buffer cache. Under the NCache
-    /// configuration these blocks contain a [`KeyStamp`] plus junk, and the
-    /// server composes replies from them without looking at the contents.
+    /// Reads blocks *by reference* into `out` (cleared first, so a server
+    /// can keep one buffer for every request): no payload bytes move; the
+    /// returned segments share storage with the buffer cache. Under the
+    /// NCache configuration these blocks contain a [`KeyStamp`] plus junk,
+    /// and the server composes replies from them without looking at the
+    /// contents.
     ///
     /// # Errors
     ///
     /// [`FsError::InvalidRange`] if `offset` is not block-aligned; the
-    /// rest as [`Filesystem::read`].
+    /// rest as [`Filesystem::read`]. `out` holds the blocks read before
+    /// the error.
     pub fn read_logical(
         &mut self,
         ino: Ino,
         offset: u64,
         len: usize,
-    ) -> Result<Vec<LogicalBlock>, FsError> {
+        out: &mut Vec<LogicalBlock>,
+    ) -> Result<(), FsError> {
+        out.clear();
         if !offset.is_multiple_of(BLOCK_SIZE as u64) {
             return Err(FsError::InvalidRange);
         }
-        let inode = self.load_inode(ino)?;
-        if inode.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
-        }
+        let inode = self.load_regular(ino)?;
         if offset >= inode.size {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let len = len.min((inode.size - offset) as usize);
         let first = offset / BLOCK_SIZE as u64;
         let nblocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
-        let mut out = Vec::with_capacity(nblocks as usize);
+        out.reserve(nblocks as usize);
         for i in 0..nblocks {
             let blk = first + i;
             let valid = (len - (i as usize * BLOCK_SIZE)).min(BLOCK_SIZE);
@@ -599,7 +629,7 @@ impl<S: BlockStore> Filesystem<S> {
                 valid_len: valid,
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Residency probe for the concurrent read fast path: decides —
@@ -1261,6 +1291,17 @@ fn ptr_at(block: &[u8], slot: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`Filesystem::read_logical`] into a fresh buffer.
+    fn logical<S: BlockStore>(
+        fs: &mut Filesystem<S>,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+    ) -> Result<Vec<LogicalBlock>, FsError> {
+        let mut out = Vec::new();
+        fs.read_logical(ino, offset, len, &mut out).map(|()| out)
+    }
     use crate::cache::take_op_tally;
     use crate::store::MemStore;
     use netbuf::key::{Fho, FileHandle, Lbn};
@@ -1473,7 +1514,7 @@ mod tests {
         let f = fs.create(Fs::ROOT, "f").expect("create");
         fs.write(f, 0, &vec![9u8; 2 * BLOCK_SIZE]).expect("write");
         let before = fs.ledger().snapshot();
-        let blocks = fs.read_logical(f, 0, 2 * BLOCK_SIZE).expect("logical");
+        let blocks = logical(&mut fs, f, 0, 2 * BLOCK_SIZE).expect("logical");
         let d = fs.ledger().snapshot().delta_since(&before);
         assert_eq!(d.payload_copies, 0, "logical read moves no payload");
         assert_eq!(d.logical_copies, 2);
@@ -1525,7 +1566,7 @@ mod tests {
         let snap_a = a.ledger().snapshot();
         let snap_b = b.ledger().snapshot();
         let _ = take_op_tally();
-        let blocks_a = a.read_logical(fa, 2 * BLOCK_SIZE as u64, 6 * BLOCK_SIZE).expect("read");
+        let blocks_a = logical(&mut a, fa, 2 * BLOCK_SIZE as u64, 6 * BLOCK_SIZE).expect("read");
         let attr_a = a.getattr(fa).expect("getattr");
         let tally_a = take_op_tally();
         let blocks_b = b.read_logical_shared(fb, 2 * BLOCK_SIZE as u64, 6 * BLOCK_SIZE);
@@ -1553,7 +1594,7 @@ mod tests {
         let mut fs = newfs();
         let f = fs.create(Fs::ROOT, "f").expect("create");
         fs.write(f, 0, b"x").expect("write");
-        assert_eq!(fs.read_logical(f, 1, 4), Err(FsError::InvalidRange));
+        assert_eq!(logical(&mut fs, f, 1, 4), Err(FsError::InvalidRange));
     }
 
     #[test]
@@ -1561,7 +1602,7 @@ mod tests {
         let mut fs = newfs();
         let f = fs.create(Fs::ROOT, "f").expect("create");
         fs.write(f, 0, &vec![3u8; BLOCK_SIZE + 100]).expect("write");
-        let blocks = fs.read_logical(f, 0, 2 * BLOCK_SIZE).expect("logical");
+        let blocks = logical(&mut fs, f, 0, 2 * BLOCK_SIZE).expect("logical");
         assert_eq!(blocks.len(), 2);
         assert_eq!(blocks[0].valid_len, BLOCK_SIZE);
         assert_eq!(blocks[1].valid_len, 100, "clipped at end of file");
@@ -1579,7 +1620,7 @@ mod tests {
         assert_eq!(fs.getattr(f).expect("attrs").size, BLOCK_SIZE as u64);
         // The block now carries the stamp, augmented with the block's LBN
         // identity so replies resolve even after remapping (§3.4).
-        let blocks = fs.read_logical(f, 0, BLOCK_SIZE).expect("logical");
+        let blocks = logical(&mut fs, f, 0, BLOCK_SIZE).expect("logical");
         let planted = KeyStamp::decode(blocks[0].seg.as_slice()).expect("stamped");
         assert_eq!(planted.fho, stamp.fho);
         assert_eq!(planted.lbn.map(|l| Some(l.0)), Some(blocks[0].lbn));

@@ -8,10 +8,9 @@
 //! needs (§3.3: "the page data structure associated with iSCSI requests
 //! contains the inode type information").
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use netbuf::Segment;
+use netbuf::{KeyMap, Segment};
 
 use crate::BLOCK_SIZE;
 
@@ -80,14 +79,14 @@ pub fn synthetic_block_into(lbn: u64, out: &mut [u8]) {
 /// ```
 /// use simfs::{BlockClass, BlockStore, MemStore};
 /// let mut s = MemStore::new(1024);
-/// use netbuf::Segment;
+/// use netbuf::{KeyMap, Segment};
 /// let before = s.read_block(7, BlockClass::Data);
 /// s.write_block(7, BlockClass::Data, &Segment::from_vec(vec![0xAA; 4096]));
 /// assert_ne!(s.read_block(7, BlockClass::Data), before);
 /// ```
 #[derive(Clone, Debug)]
 pub struct MemStore {
-    blocks: Arc<Mutex<HashMap<u64, Vec<u8>>>>,
+    blocks: Arc<Mutex<KeyMap<u64, Vec<u8>>>>,
     count: u64,
 }
 
@@ -95,7 +94,7 @@ impl MemStore {
     /// A store of `count` blocks, all initially synthetic.
     pub fn new(count: u64) -> Self {
         MemStore {
-            blocks: Arc::new(Mutex::new(HashMap::new())),
+            blocks: Arc::new(Mutex::new(KeyMap::default())),
             count,
         }
     }

@@ -68,6 +68,23 @@ echo "== host benchmark self-test (hostbench golden.txt) =="
 # seed-1 simulated results must match hostbench/golden.txt.
 cargo test --release --offline --manifest-path hostbench/Cargo.toml
 
+echo "== allocation gate (hostbench allocs_per_op vs tests/golden/hostbench_allocs.txt) =="
+# Allocations over the host benchmark's reference batches repeat exactly
+# for a fixed seed, so unlike wall clock they can be gated tightly: each
+# workload listed in the golden file may allocate at most 1.02x its
+# committed count per operation. A change that lowers a count commits the
+# new value (same command, the `end_to_end allocs_per_op` line).
+while read -r W COMMITTED; do
+    FRESH="$(cargo run --release --offline -q --manifest-path hostbench/Cargo.toml -- \
+        --workload "$W" --seed 1 --seconds 0 --trace 0 --tiny 2>/dev/null \
+        | awk '$1 == "end_to_end" && $2 == "allocs_per_op" { print $3 }')"
+    echo "$W allocs_per_op: fresh ${FRESH:-none} vs committed ${COMMITTED} (limit 1.02x)"
+    awk -v f="$FRESH" -v c="$COMMITTED" 'BEGIN { exit !(f != "" && f <= 1.02 * c) }' || {
+        echo "$W: allocs_per_op ${FRESH:-none} is more than 1.02x the committed ${COMMITTED}" >&2
+        exit 1
+    }
+done < tests/golden/hostbench_allocs.txt
+
 echo "== executor smoke (repro --table2, 1 vs N threads, identical stdout) =="
 # At least 4 workers so the multi-worker path is exercised even on small
 # machines (the executor oversubscribes harmlessly).

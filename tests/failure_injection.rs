@@ -45,7 +45,7 @@ fn nfs_server_rejects_truncated_bodies_per_procedure() {
     // A valid RPC call header followed by a body too short for the
     // procedure, for each procedure the server speaks.
     for proc in [1u32, 4, 6, 8] {
-        let mut bytes = RpcCall::nfs(77, proc).encode();
+        let mut bytes = RpcCall::nfs(77, proc).encode().to_vec();
         bytes.extend_from_slice(&[0u8; 3]);
         let reply = deliver_raw(&mut rig, bytes);
         assert!(reply.total_len() > 0, "proc {proc}: error reply");
@@ -58,7 +58,9 @@ fn nfs_unknown_procedure_and_unknown_handle() {
     let mut rig = NfsRig::new(ServerMode::Original, NfsRigParams::default());
     rig.create_file("ok", 8192);
     // Unknown procedure number.
-    let mut bytes = ncache_repro::proto::rpc::RpcCall::nfs(9, 99).encode();
+    let mut bytes = ncache_repro::proto::rpc::RpcCall::nfs(9, 99)
+        .encode()
+        .to_vec();
     bytes.extend_from_slice(&[0u8; 64]);
     let reply = deliver_raw(&mut rig, bytes);
     assert!(reply.total_len() > 0);
@@ -184,5 +186,72 @@ fn ncache_under_extreme_memory_pressure_stays_correct() {
         let data = vec![blk as u8; 4096];
         rig.write(fh, blk * 4096, &data);
         assert_eq!(rig.read(fh, blk * 4096, 4096), data, "block {blk}");
+    }
+}
+
+#[global_allocator]
+static ALLOC: check::alloc::Counting = check::alloc::Counting;
+
+#[test]
+fn read_with_hostile_count_is_sized_by_the_file() {
+    // A READ asking for u32::MAX bytes: every path that serves it (the
+    // copying server, the logical paths, the unaligned NCache and
+    // baseline paths, and NCache's fallback after its chunks vanish)
+    // must report the file's length from the offset on and return its
+    // bytes, and no allocation may be sized by the request's count.
+    //
+    // The payload of the NCache fallback is not checked: that path copies
+    // the refetched *placeholders* into one buffer, and the transmit hook
+    // then replaces the whole buffer with the first block's chunk, so a
+    // multi-block fallback reply carries one block. That defect predates
+    // the bounded read and is tracked separately.
+    const SIZE: u64 = 5 * 4096 + 100;
+    for mode in ServerMode::ALL {
+        let mut rig = NfsRig::new(mode, NfsRigParams::default());
+        let fh = rig.create_file("f", SIZE);
+        let mut cases = vec![("aligned", 0u32), ("unaligned", 100)];
+        if mode == ServerMode::NCache {
+            cases.push(("fallback", 0));
+        }
+        for (path, offset) in cases {
+            if path == "fallback" {
+                // Drop every chunk the file's placeholders point at, so the
+                // next READ finds them dangling and copies instead.
+                let module = rig.module().expect("NCache build");
+                let mut m = module.borrow_mut();
+                for key in m.cache_mut().clean_keys() {
+                    m.cache_mut().invalidate(key);
+                }
+            }
+            let req = rig.client_mut().read_request(fh, offset, u32::MAX);
+            let (reply, counts) = check::alloc::measure(|| rig.handle_raw(req));
+            let (hdr, data) = rig.client_mut().parse_read_reply(&reply);
+            let want = (SIZE - u64::from(offset)) as usize;
+            assert_eq!(hdr.status, NFS_OK, "{mode} {path}");
+            assert_eq!(
+                hdr.count as usize, want,
+                "{mode} {path}: count clipped at EOF"
+            );
+            if path != "fallback" {
+                assert_eq!(data.len(), want, "{mode} {path}");
+            }
+            if path != "fallback" && mode != ServerMode::Baseline {
+                assert_eq!(
+                    data,
+                    NfsRig::pattern(fh, u64::from(offset), want),
+                    "{mode} {path}: the file's bytes"
+                );
+            }
+            assert!(
+                counts.largest <= SIZE,
+                "{mode} {path}: a {}-byte allocation for a {SIZE}-byte file",
+                counts.largest
+            );
+            assert!(
+                counts.bytes <= 3 * SIZE,
+                "{mode} {path}: {} bytes allocated for a {SIZE}-byte file",
+                counts.bytes
+            );
+        }
     }
 }

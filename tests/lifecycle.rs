@@ -44,10 +44,15 @@ fn figure3_block_lifetime() {
         "state 1: clean (it matches storage)"
     );
     // The FS cache holds a stamped placeholder, not the data.
-    let blocks = rig
-        .server_mut()
+    let mut blocks = Vec::new();
+    rig.server_mut()
         .fs_mut()
-        .read_logical(ncache_repro::servers::nfs::fh_to_ino(fh), 0, 4096)
+        .read_logical(
+            ncache_repro::servers::nfs::fh_to_ino(fh),
+            0,
+            4096,
+            &mut blocks,
+        )
         .expect("readable");
     let stamp = KeyStamp::decode(blocks[0].seg.as_slice()).expect("placeholder");
     assert_eq!(stamp.lbn, Some(lbn), "state 1: FS cache holds the key");
