@@ -159,10 +159,9 @@ fn bench_checksum(h: &mut Harness) {
 
 fn bench_module_hooks(h: &mut Harness) {
     let mut g = h.group("module_hooks");
-    let ledger = CopyLedger::new();
     g.bench_batched(
         "on_data_in",
-        || NcacheModule::new(NcacheConfig::with_capacity(1 << 30), &ledger),
+        || NcacheModule::new(NcacheConfig::with_capacity(1 << 30)),
         |mut m| {
             for i in 0..128u64 {
                 m.on_data_in(Lbn(i), block_segs(i as u8), BLOCK).expect("fits");

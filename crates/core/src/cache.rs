@@ -401,6 +401,13 @@ impl NetCache {
         self.lookup_into(key, usize::MAX, &mut segs).then_some(segs)
     }
 
+    /// [`NetCache::lookup`] for a caller that only needs to know whether
+    /// `key` hit: the same counters, recency stamp, epoch tally and ghost
+    /// probe, but no segment is shared and nothing is allocated.
+    pub fn touch(&self, key: CacheKey) -> bool {
+        self.lookup_into(key, 0, &mut Vec::new())
+    }
+
     /// [`NetCache::lookup`] without the intermediate list: on a hit, the
     /// chunk's segments, clipped to the first `limit` payload bytes, are
     /// appended to `out` and `true` is returned. The substitution engine

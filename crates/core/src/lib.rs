@@ -40,17 +40,23 @@
 //!
 //! ```
 //! use ncache::{NcacheConfig, NcacheModule};
-//! use netbuf::{CopyLedger, Segment};
+//! use netbuf::{CopyLedger, NetBuf, Segment};
 //! use netbuf::key::Lbn;
 //!
-//! let ledger = CopyLedger::new();
-//! let mut module = NcacheModule::new(NcacheConfig::with_capacity(1 << 20), &ledger);
-//! // An iSCSI read response arrives: cache it and get a placeholder for
-//! // the file system.
+//! let mut module = NcacheModule::new(NcacheConfig::with_capacity(1 << 20));
+//! // An iSCSI read response arrives: cache it and get the stamp of the
+//! // placeholder block the file system holds instead.
 //! let payload = Segment::from_vec(vec![42u8; 4096]);
-//! let placeholder = module.on_data_in(Lbn(7), vec![payload], 4096)?;
-//! // Later, an NFS read reply carrying that placeholder is substituted.
+//! let stamp = module.on_data_in(Lbn(7), vec![payload], 4096)?;
 //! assert!(module.cache_contains_lbn(Lbn(7)));
+//! let mut placeholder = vec![0u8; 4096];
+//! stamp.encode_into(&mut placeholder);
+//! // Later, an NFS read reply carrying that placeholder is substituted.
+//! let ledger = CopyLedger::new();
+//! let mut reply = NetBuf::new(&ledger);
+//! reply.append_segment(Segment::from_vec(placeholder));
+//! assert_eq!(module.on_transmit(&mut reply).substituted, 1);
+//! assert_eq!(reply.copy_payload_to_vec(), vec![42u8; 4096]);
 //! # Ok::<(), ncache::CacheFull>(())
 //! ```
 

@@ -5,8 +5,8 @@
 //! at four hook points, all exposed here:
 //!
 //! 1. [`NcacheModule::on_data_in`] — an iSCSI Data-In PDU carrying regular
-//!    file data arrived: park the payload in the LBN cache, hand the file
-//!    system a key-stamped placeholder block.
+//!    file data arrived: park the payload in the LBN cache, hand back the
+//!    stamp of the placeholder block the file system gets.
 //! 2. [`NcacheModule::on_nfs_write`] — an NFS write request's payload
 //!    arrived: park it in the FHO cache, hand back the stamp the server
 //!    plants in the buffer cache.
@@ -17,12 +17,11 @@
 //!    the driver: substitute cached payload for stamped placeholders.
 
 use netbuf::key::{CacheKey, Fho, KeyStamp, Lbn};
-use netbuf::{BufPool, CopyLedger, NetBuf, Segment};
+use netbuf::{BufPool, NetBuf, Segment};
 
 use crate::cache::{CacheFull, NetCacheStats, WritebackChunk};
 use crate::shards::NetCacheShards;
 use crate::substitute::{substitute_payload, SubstitutionReport};
-use crate::CHUNK_PAYLOAD;
 
 /// Configuration of the NCache module.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,7 +70,6 @@ impl NcacheConfig {
 pub struct NcacheModule {
     cache: NetCacheShards,
     config: NcacheConfig,
-    ledger: CopyLedger,
     pending_writebacks: Vec<WritebackChunk>,
     substitution_totals: SubstitutionReport,
     recorder: Option<obs::Recorder>,
@@ -80,12 +78,11 @@ pub struct NcacheModule {
 
 impl NcacheModule {
     /// Creates a module, pinning its memory from a fresh pool.
-    pub fn new(config: NcacheConfig, ledger: &CopyLedger) -> Self {
+    pub fn new(config: NcacheConfig) -> Self {
         let pool = BufPool::new(config.capacity_bytes);
         NcacheModule {
             cache: NetCacheShards::new(pool, config.per_chunk_overhead, config.shards.max(1)),
             config,
-            ledger: ledger.clone(),
             pending_writebacks: Vec::new(),
             substitution_totals: SubstitutionReport::default(),
             recorder: None,
@@ -334,8 +331,9 @@ impl NcacheModule {
     }
 
     /// Hook 1: regular-data iSCSI Data-In payload arrived. Caches the
-    /// wire segments under `lbn` and returns the placeholder block the
-    /// initiator hands the file system.
+    /// wire segments under `lbn` and returns the stamp of the placeholder
+    /// block the initiator hands the file system (the initiator builds
+    /// the block on its own recycled slabs).
     ///
     /// # Errors
     ///
@@ -345,7 +343,7 @@ impl NcacheModule {
         lbn: Lbn,
         segs: Vec<Segment>,
         len: usize,
-    ) -> Result<Segment, CacheFull> {
+    ) -> Result<KeyStamp, CacheFull> {
         let before = self.cache.stats();
         let shard_before = self.shard_baseline();
         let wbs = self.cache.insert_lbn(lbn, segs, len, false)?;
@@ -356,7 +354,7 @@ impl NcacheModule {
             dirty: false,
         });
         self.pending_writebacks.extend(wbs);
-        Ok(self.placeholder(KeyStamp::new().with_lbn(lbn)))
+        Ok(KeyStamp::new().with_lbn(lbn))
     }
 
     /// Hook 2: an NFS write request's payload arrived. Caches the wire
@@ -453,20 +451,14 @@ impl NcacheModule {
     pub fn take_writebacks(&mut self) -> Vec<WritebackChunk> {
         std::mem::take(&mut self.pending_writebacks)
     }
-
-    /// Builds a key-stamped placeholder block (junk + stamp).
-    fn placeholder(&self, stamp: KeyStamp) -> Segment {
-        let mut junk = vec![0u8; CHUNK_PAYLOAD];
-        stamp.encode_into(&mut junk);
-        self.ledger.charge_header_bytes(KeyStamp::LEN as u64);
-        Segment::from_vec(junk)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CHUNK_PAYLOAD;
     use netbuf::key::FileHandle;
+    use netbuf::CopyLedger;
 
     #[test]
     fn module_is_send() {
@@ -479,8 +471,15 @@ mod tests {
 
     fn module(capacity: u64) -> (NcacheModule, CopyLedger) {
         let ledger = CopyLedger::new();
-        let m = NcacheModule::new(NcacheConfig::with_capacity(capacity), &ledger);
+        let m = NcacheModule::new(NcacheConfig::with_capacity(capacity));
         (m, ledger)
+    }
+
+    /// The placeholder block a stamp stands for (junk + stamp).
+    fn placeholder(stamp: KeyStamp) -> Segment {
+        let mut junk = vec![0u8; CHUNK_PAYLOAD];
+        stamp.encode_into(&mut junk);
+        Segment::from_vec(junk)
     }
 
     fn block_segs(tag: u8) -> Vec<Segment> {
@@ -488,14 +487,12 @@ mod tests {
     }
 
     #[test]
-    fn data_in_caches_and_returns_placeholder() {
+    fn data_in_caches_and_returns_the_lbn_stamp() {
         let (mut m, _l) = module(1 << 20);
-        let ph = m.on_data_in(Lbn(3), block_segs(7), CHUNK_PAYLOAD).expect("fits");
+        let stamp = m.on_data_in(Lbn(3), block_segs(7), CHUNK_PAYLOAD).expect("fits");
         assert!(m.cache_contains_lbn(Lbn(3)));
-        let stamp = KeyStamp::decode(ph.as_slice()).expect("stamped");
         assert_eq!(stamp.lbn, Some(Lbn(3)));
         assert_eq!(stamp.fho, None);
-        assert_eq!(ph.len(), CHUNK_PAYLOAD);
     }
 
     #[test]
@@ -546,9 +543,9 @@ mod tests {
     #[test]
     fn transmit_substitutes_and_inherits_csum() {
         let (mut m, ledger) = module(1 << 20);
-        let ph = m.on_data_in(Lbn(1), block_segs(0x77), CHUNK_PAYLOAD).expect("fits");
+        let stamp = m.on_data_in(Lbn(1), block_segs(0x77), CHUNK_PAYLOAD).expect("fits");
         let mut pkt = NetBuf::new(&ledger);
-        pkt.append_segment(ph);
+        pkt.append_segment(placeholder(stamp));
         let r = m.on_transmit(&mut pkt);
         assert_eq!(r.substituted, 1);
         assert_eq!(pkt.csum_state(), netbuf::buf::CsumState::Inherited);
@@ -561,8 +558,9 @@ mod tests {
         let ledger = CopyLedger::new();
         let mut config = NcacheConfig::with_capacity(1 << 20);
         config.substitution = false;
-        let mut m = NcacheModule::new(config, &ledger);
-        let ph = m.on_data_in(Lbn(1), block_segs(0x11), CHUNK_PAYLOAD).expect("fits");
+        let mut m = NcacheModule::new(config);
+        let stamp = m.on_data_in(Lbn(1), block_segs(0x11), CHUNK_PAYLOAD).expect("fits");
+        let ph = placeholder(stamp);
         let mut pkt = NetBuf::new(&ledger);
         pkt.append_segment(ph.clone());
         let r = m.on_transmit(&mut pkt);
@@ -575,7 +573,6 @@ mod tests {
     fn evictions_surface_as_writebacks() {
         // Capacity for two chunks (plus overhead); the third insert evicts
         // the dirty FHO chunk? No — dirty FHO is pinned; use dirty LBN.
-        let ledger = CopyLedger::new();
         let config = NcacheConfig {
             capacity_bytes: 2 * (CHUNK_PAYLOAD as u64 + 128),
             per_chunk_overhead: 128,
@@ -583,7 +580,7 @@ mod tests {
             csum_inherit: true,
             shards: 1,
         };
-        let mut m = NcacheModule::new(config, &ledger);
+        let mut m = NcacheModule::new(config);
         m.cache_mut()
             .insert_lbn(Lbn(1), block_segs(1), CHUNK_PAYLOAD, true)
             .expect("fits");
@@ -604,13 +601,11 @@ mod tests {
 
         let fho = Fho::new(FileHandle(1), 0);
         let stamp = m.on_nfs_write(fho, block_segs(0xAB), CHUNK_PAYLOAD).expect("fits");
-        let mut placeholder = vec![0u8; CHUNK_PAYLOAD];
-        stamp.encode_into(&mut placeholder);
-        m.on_flush_write(&placeholder, Lbn(5)).expect("remapped");
+        m.on_flush_write(placeholder(stamp).as_slice(), Lbn(5)).expect("remapped");
 
-        let ph = m.on_data_in(Lbn(9), block_segs(0x11), CHUNK_PAYLOAD).expect("fits");
+        let stamp = m.on_data_in(Lbn(9), block_segs(0x11), CHUNK_PAYLOAD).expect("fits");
         let mut pkt = NetBuf::new(&ledger);
-        pkt.append_segment(ph);
+        pkt.append_segment(placeholder(stamp));
         m.on_transmit(&mut pkt);
 
         assert_eq!(rec.counter("cache.ncache-fho.insertions"), 1);
@@ -622,7 +617,6 @@ mod tests {
 
     #[test]
     fn recorder_sees_insert_pressure_evictions() {
-        let ledger = CopyLedger::new();
         let config = NcacheConfig {
             capacity_bytes: 2 * (CHUNK_PAYLOAD as u64 + 128),
             per_chunk_overhead: 128,
@@ -630,7 +624,7 @@ mod tests {
             csum_inherit: true,
             shards: 1,
         };
-        let mut m = NcacheModule::new(config, &ledger);
+        let mut m = NcacheModule::new(config);
         let rec = obs::Recorder::new();
         rec.enable(obs::TraceConfig::default());
         m.set_recorder(rec.clone());
@@ -644,8 +638,7 @@ mod tests {
     #[test]
     fn verify_resolvable_stamps_then_accepts() {
         let (mut m, _l) = module(1 << 20);
-        let ph = m.on_data_in(Lbn(4), block_segs(0x42), CHUNK_PAYLOAD).expect("fits");
-        let stamp = KeyStamp::decode(ph.as_slice()).expect("stamped");
+        let stamp = m.on_data_in(Lbn(4), block_segs(0x42), CHUNK_PAYLOAD).expect("fits");
         assert!(m.verify_resolvable(&stamp), "first pass stamps the csum");
         assert!(m.verify_resolvable(&stamp), "second pass verifies it");
         assert_eq!(m.invalidations(), 0);
@@ -655,8 +648,7 @@ mod tests {
     #[test]
     fn verify_resolvable_invalidates_poisoned_chunks() {
         let (mut m, _l) = module(1 << 20);
-        let ph = m.on_data_in(Lbn(4), block_segs(0x42), CHUNK_PAYLOAD).expect("fits");
-        let stamp = KeyStamp::decode(ph.as_slice()).expect("stamped");
+        let stamp = m.on_data_in(Lbn(4), block_segs(0x42), CHUNK_PAYLOAD).expect("fits");
         let rec = obs::Recorder::new();
         rec.enable(obs::TraceConfig::default());
         m.set_recorder(rec.clone());
@@ -666,8 +658,7 @@ mod tests {
         assert_eq!(m.invalidations(), 1);
         assert_eq!(rec.counter("fault.invalidations"), 1);
         // Refetch repopulates; the fresh entry verifies clean again.
-        let ph = m.on_data_in(Lbn(4), block_segs(0x42), CHUNK_PAYLOAD).expect("fits");
-        let stamp = KeyStamp::decode(ph.as_slice()).expect("stamped");
+        let stamp = m.on_data_in(Lbn(4), block_segs(0x42), CHUNK_PAYLOAD).expect("fits");
         assert!(m.verify_resolvable(&stamp));
     }
 

@@ -325,6 +325,12 @@ impl NetCacheShards {
         self.read(self.shard(key)).lookup(key)
     }
 
+    /// Looks `key` up like [`NetCacheShards::lookup`] without sharing its
+    /// segments (see [`NetCache::touch`]); returns whether it hit.
+    pub fn touch(&self, key: CacheKey) -> bool {
+        self.read(self.shard(key)).touch(key)
+    }
+
     /// Resolves a key stamp FHO-first (§3.4), across shards: the FHO and
     /// LBN copies of a block may live in different shards.
     pub fn resolve(&self, stamp: &netbuf::key::KeyStamp) -> Option<(CacheKey, Vec<Segment>)> {

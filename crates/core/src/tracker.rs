@@ -87,6 +87,14 @@ impl HttpTxTracker {
     /// exactly cover the chunk.
     pub fn feed(&mut self, chunk: &[u8]) -> Vec<TxDisposition> {
         let mut out = Vec::new();
+        self.feed_with(chunk, |d| out.push(d));
+        out
+    }
+
+    /// [`HttpTxTracker::feed`] handing each sub-range to `on_range`, in
+    /// order, instead of collecting them: a caller that only tallies the
+    /// ranges allocates nothing per chunk.
+    pub fn feed_with(&mut self, chunk: &[u8], mut on_range: impl FnMut(TxDisposition)) {
         let mut at = 0usize;
         while at < chunk.len() {
             match &mut self.state {
@@ -97,7 +105,7 @@ impl HttpTxTracker {
                         Some(end) => {
                             // Bytes of *this chunk* that belong to the header:
                             let header_in_chunk = end - start_len;
-                            out.push(TxDisposition::Header(header_in_chunk));
+                            on_range(TxDisposition::Header(header_in_chunk));
                             let content_length = HttpResponseHeader::decode(seen)
                                 .map(|(h, _)| h.content_length)
                                 .unwrap_or(0);
@@ -111,21 +119,20 @@ impl HttpTxTracker {
                         }
                         None => {
                             // Whole remainder is header-so-far.
-                            out.push(TxDisposition::Header(chunk.len() - at));
+                            on_range(TxDisposition::Header(chunk.len() - at));
                             at = chunk.len();
                         }
                     }
                 }
                 State::Body { remaining } => {
                     let take = ((chunk.len() - at) as u64).min(*remaining) as usize;
-                    out.push(TxDisposition::Body(take));
+                    on_range(TxDisposition::Body(take));
                     *remaining -= take as u64;
                     at += take;
                     self.maybe_rearm();
                 }
             }
         }
-        out
     }
 
     fn maybe_rearm(&mut self) {
@@ -257,6 +264,23 @@ mod tests {
             assert_eq!(total, chunk.len());
         }
         assert_eq!(t.responses_seen(), 3);
+    }
+
+    #[test]
+    fn feed_with_reports_exactly_what_feed_returns() {
+        let mut stream = response(5000);
+        stream.extend(response(0));
+        stream.extend(response(4096));
+        for step in [1, 7, 64, 4096, stream.len()] {
+            let (mut collected, mut called) = (HttpTxTracker::new(), HttpTxTracker::new());
+            for chunk in stream.chunks(step) {
+                let mut seen = Vec::new();
+                called.feed_with(chunk, |d| seen.push(d));
+                assert_eq!(seen, collected.feed(chunk), "chunks of {step}");
+            }
+            assert_eq!(called.responses_seen(), 3);
+            assert_eq!(called.in_body(), collected.in_body());
+        }
     }
 
     #[test]

@@ -253,10 +253,10 @@ impl NetBuf {
         out
     }
 
-    /// Makes room for `n` more payload segments, so a reply whose segment
-    /// count is known up front sizes its chain once.
+    /// Makes room for exactly `n` more payload segments, so a buffer whose
+    /// segment count is known up front sizes its chain once, and no larger.
     pub fn reserve_segments(&mut self, n: usize) {
-        self.segs.reserve(n);
+        self.segs.reserve_exact(n);
     }
 
     /// Attaches a payload segment by reference — a **logical copy**; no
@@ -356,9 +356,25 @@ impl NetBuf {
     }
 
     /// Removes and returns all payload segments (pointer manipulation;
-    /// receive paths use this to hand arrived payload to a cache).
+    /// receive paths use this to hand arrived payload to a cache). The
+    /// chain's own storage becomes the returned list, so nothing is
+    /// allocated.
     pub fn take_payload(&mut self) -> Vec<Segment> {
-        self.segs.drain(..).collect()
+        std::mem::take(&mut self.segs).into()
+    }
+
+    /// Attaches every segment of `segs` by reference, in order — one
+    /// logical copy each, exactly like [`NetBuf::append_segment`]. An empty
+    /// chain adopts the list's storage instead of growing its own.
+    pub fn append_segments(&mut self, segs: Vec<Segment>) {
+        for _ in &segs {
+            self.ledger.charge_logical_copy();
+        }
+        if self.segs.is_empty() {
+            self.segs = segs.into();
+        } else {
+            self.segs.extend(segs);
+        }
     }
 
     /// Replaces the payload with `segs` (logical; charged as one logical

@@ -13,11 +13,15 @@
 //! builds one segment per packet, and allocating/freeing a `Vec` for each
 //! dominates the hot path. [`BufPool::seg_from_slice`] and
 //! [`BufPool::seg_filled`] hand out [`Segment`]s whose storage returns to
-//! the free list when the last reference drops. Recycled buffers are
-//! scrubbed (zero-filled) before reuse, so a recycled segment can never
-//! leak a previous packet's bytes. Slab recycling is pure host-allocator
-//! mechanics: it charges nothing to the copy ledgers and does not count
-//! against the pinned-byte capacity.
+//! the free list when the last reference drops. A recycled slab is scrubbed
+//! when it is *taken*, not when it is returned, and only as far as the new
+//! segment needs: [`BufPool::seg_filled`] zero-fills the `len` bytes it
+//! hands to `fill`, and [`BufPool::seg_from_slice`] overwrites every byte
+//! its segment views, so it needs no scrub at all. A segment never views
+//! past its length, so the stale tail of a slab is unreachable and a
+//! recycled segment can never leak a previous packet's bytes. Slab
+//! recycling is pure host-allocator mechanics: it charges nothing to the
+//! copy ledgers and does not count against the pinned-byte capacity.
 
 use std::fmt;
 use std::sync::{Arc, Mutex, Weak};
@@ -77,18 +81,18 @@ pub struct SlabStats {
 }
 
 /// Where a pool-backed segment's buffer goes when its last reference
-/// drops: back into the owning pool's free list, scrubbed. Holds a weak
-/// reference so in-flight segments never keep a dropped pool alive.
+/// drops: back into the owning pool's free list, as it is (the next take
+/// scrubs what it exposes). Holds a weak reference so in-flight segments
+/// never keep a dropped pool alive.
 pub(crate) struct SlabHome {
     inner: Weak<Mutex<Inner>>,
 }
 
 impl SlabHome {
-    pub(crate) fn recycle(&self, mut buf: Box<[u8]>) {
+    pub(crate) fn recycle(&self, buf: Box<[u8]>) {
         if let Some(inner) = self.inner.upgrade() {
             let mut g = inner.lock().expect("buf pool poisoned");
             if g.free.len() < FREE_LIMIT {
-                buf.fill(0);
                 g.free.push(buf);
                 g.slab_returns += 1;
             }
@@ -146,22 +150,27 @@ impl BufPool {
         if bytes.len() > SLAB_SIZE {
             return Segment::from_vec(bytes.to_vec());
         }
-        let mut slab = self.take_slab();
+        // Every viewed byte is overwritten: a recycled slab needs no scrub.
+        let (mut slab, _) = self.take_slab();
         slab[..bytes.len()].copy_from_slice(bytes);
         Segment::from_boxed(slab, bytes.len(), Some(self.home()))
     }
 
     /// A pooled segment of `len` bytes built in place: `fill` receives a
-    /// zero-initialized buffer (fresh or scrubbed) and writes whatever
-    /// prefix it needs. Falls back to a plain heap segment past
-    /// [`SLAB_SIZE`]. Not ledger-charged; see [`BufPool::seg_from_slice`].
+    /// zero-initialized buffer (fresh, or a recycled slab whose first `len`
+    /// bytes were just scrubbed) and writes whatever prefix it needs. Falls
+    /// back to a plain heap segment past [`SLAB_SIZE`]. Not ledger-charged;
+    /// see [`BufPool::seg_from_slice`].
     pub fn seg_filled(&self, len: usize, fill: impl FnOnce(&mut [u8])) -> Segment {
         if len > SLAB_SIZE {
             let mut buf = vec![0u8; len];
             fill(&mut buf);
             return Segment::from_vec(buf);
         }
-        let mut slab = self.take_slab();
+        let (mut slab, recycled) = self.take_slab();
+        if recycled {
+            slab[..len].fill(0);
+        }
         fill(&mut slab[..len]);
         Segment::from_boxed(slab, len, Some(self.home()))
     }
@@ -177,15 +186,18 @@ impl BufPool {
         }
     }
 
-    fn take_slab(&self) -> Box<[u8]> {
+    /// A slab and whether it was recycled. A fresh slab is all zeros; a
+    /// recycled one still holds whatever its last segment wrote, so the
+    /// caller scrubs what it exposes.
+    fn take_slab(&self) -> (Box<[u8]>, bool) {
         let mut g = self.lock();
         if let Some(slab) = g.free.pop() {
             g.slab_recycles += 1;
-            slab
+            (slab, true)
         } else {
             g.slab_allocs += 1;
             drop(g);
-            vec![0u8; SLAB_SIZE].into_boxed_slice()
+            (vec![0u8; SLAB_SIZE].into_boxed_slice(), false)
         }
     }
 
@@ -308,7 +320,7 @@ mod tests {
         assert_eq!(stats.allocs, 1);
         assert_eq!(stats.returns, 1);
         assert_eq!(stats.free, 1);
-        // The recycled slab comes back scrubbed on the original thread.
+        // The recycled slab is taken again on the original thread.
         let again = pool.seg_from_slice(&[1u8; 16]);
         assert_eq!(pool.slab_stats().recycles, 1);
         drop(again);
@@ -405,6 +417,24 @@ mod tests {
         let s = p.seg_filled(SLAB_SIZE, |_| {});
         assert_eq!(p.slab_stats().recycles, 1);
         assert!(s.as_slice().iter().all(|&b| b == 0), "stale bytes leaked");
+    }
+
+    #[test]
+    fn short_takes_of_a_dirty_slab_see_only_their_own_bytes() {
+        let p = BufPool::slab_only();
+        drop(p.seg_from_slice(&[0xFF; SLAB_SIZE]));
+        // The slab comes back unscrubbed; each take exposes only what it
+        // wrote (a copied prefix) or what it scrubbed (a filled prefix).
+        let copied = p.seg_from_slice(&[1, 2, 3]);
+        assert_eq!(copied.as_slice(), &[1, 2, 3]);
+        drop(copied);
+        let filled = p.seg_filled(100, |out| out[0] = 9);
+        assert_eq!(filled.as_slice()[0], 9);
+        assert!(
+            filled.as_slice()[1..].iter().all(|&b| b == 0),
+            "stale bytes leaked"
+        );
+        assert_eq!(p.slab_stats().recycles, 2);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! Storage is a boxed slice behind an [`std::sync::Arc`], optionally owned
 //! by a [`crate::pool::BufPool`] slab free list: when the last reference to
-//! a pool-backed segment drops, its buffer returns to the pool (scrubbed)
+//! a pool-backed segment drops, its buffer returns to the pool
 //! instead of hitting the allocator — the driver-context buffer recycling
 //! the Linux prototype gets from `skb` slab caches.
 

@@ -15,7 +15,7 @@
 
 
 use ncache::NcacheModule;
-use netbuf::key::Lbn;
+use netbuf::key::{KeyStamp, Lbn};
 use netbuf::{BufPool, CopyLedger, NetBuf, Segment};
 use proto::iscsi::{DataOut, IscsiPdu, ScsiCommand, ScsiOp, BHS_LEN, BLOCK_SIZE};
 use simfs::{BlockClass, BlockStore};
@@ -111,11 +111,16 @@ pub struct IscsiInitiator {
     module: Option<sim::Shared<NcacheModule>>,
     next_itt: u32,
     io_log: Vec<IoRecord>,
+    /// Length of the last non-empty I/O log drained.
+    io_room: usize,
     stats: InitiatorStats,
     recorder: obs::Recorder,
     /// Slab free list for receive-copy destinations and placeholder
     /// blocks (per-packet recycling; never ledger-visible).
     pool: BufPool,
+    /// The target's PDUs for the command in flight, kept so that each
+    /// command reuses one result list.
+    replies: Vec<NetBuf>,
     /// Shared fault schedule for the initiator⇄target link (None = a
     /// perfect link; every fault hook vanishes).
     fault_plan: Option<sim::Shared<sim::FaultPlan>>,
@@ -145,9 +150,11 @@ impl IscsiInitiator {
             module,
             next_itt: 1,
             io_log: Vec::new(),
+            io_room: 0,
             stats: InitiatorStats::default(),
             recorder: obs::Recorder::new(),
             pool: BufPool::slab_only(),
+            replies: Vec::new(),
             fault_plan: None,
         }
     }
@@ -176,7 +183,20 @@ impl IscsiInitiator {
 
     /// Drains the I/O log (the timing layer calls this once per request).
     pub fn take_io_log(&mut self) -> Vec<IoRecord> {
+        if !self.io_log.is_empty() {
+            self.io_room = self.io_log.len();
+        }
         std::mem::take(&mut self.io_log)
+    }
+
+    /// Appends to the I/O log. A request's first record sizes the log like
+    /// the last log that held any, so a request's log is usually allocated
+    /// once instead of regrown record by record.
+    fn log_io(&mut self, rec: IoRecord) {
+        if self.io_log.capacity() == 0 {
+            self.io_log.reserve(self.io_room);
+        }
+        self.io_log.push(rec);
     }
 
     /// The NCache module, when running the NCache build.
@@ -188,7 +208,7 @@ impl IscsiInitiator {
     /// storage server (dirty LBN chunk displaced by cache pressure).
     pub fn write_chunk_direct(&mut self, lbn: Lbn, segs: Vec<Segment>, len: usize) {
         assert_eq!(len, BLOCK_SIZE, "chunk writebacks are whole blocks");
-        self.io_log.push(IoRecord {
+        self.log_io(IoRecord {
             lbn: lbn.0,
             is_write: true,
             class: BlockClass::Data,
@@ -238,10 +258,12 @@ impl IscsiInitiator {
     }
 
     /// Issues a one-block read command and returns the delivered Data-In
-    /// PDU (headers pulled), ready for payload extraction. Under a fault
-    /// plan the command is re-issued — with capped exponential backoff —
-    /// on device errors, timeouts (lost/late PDUs), and damaged Data-In
-    /// frames, until a clean delivery validates.
+    /// PDU (headers pulled), ready for payload extraction. On a perfect
+    /// link the exchange allocates nothing but the target's payload
+    /// segment and the chain that carries it. Under a fault plan the
+    /// command is re-issued — with capped exponential backoff — on device
+    /// errors, timeouts (lost/late PDUs), and damaged Data-In frames,
+    /// until a clean delivery validates.
     fn fetch_pdu(&mut self, lbn: u64) -> NetBuf {
         let mut backoff = BASE_BACKOFF_US;
         let mut attempt = 0u32;
@@ -258,41 +280,56 @@ impl IscsiInitiator {
                 lbn,
                 blocks: 1,
             };
-            let pdus = self.target.borrow_mut().handle_command(cmd, Vec::new());
-            if Self::command_failed(&pdus).is_some() {
+            self.target
+                .borrow_mut()
+                .handle_command_into(cmd, Vec::new(), &mut self.replies);
+            if Self::command_failed(&self.replies).is_some() {
                 self.stats.io_errors += 1;
                 self.note_retry(&mut backoff);
                 continue;
             }
-            debug_assert_eq!(pdus.len(), 2, "one Data-In plus the response");
-            let (rx, kind) = match &self.fault_plan {
-                Some(plan) => stack::deliver_faulty(
-                    &pdus[0],
+            debug_assert_eq!(self.replies.len(), 2, "one Data-In plus the response");
+            let mut bhs = [0u8; BHS_LEN];
+            let rx = match &self.fault_plan {
+                // A perfect link: deliver the Data-In and parse its BHS
+                // in one step that touches no heap.
+                None => Some(stack::deliver_pulled(
+                    &mut self.replies[0],
                     &self.ledger,
-                    &mut plan.borrow_mut(),
-                    sim::FaultLink::InitiatorTarget,
-                ),
-                None => (Some(stack::deliver(&pdus[0], &self.ledger)), None),
+                    &mut bhs,
+                )),
+                Some(plan) => {
+                    let (rx, kind) = stack::deliver_faulty(
+                        &self.replies[0],
+                        &self.ledger,
+                        &mut plan.borrow_mut(),
+                        sim::FaultLink::InitiatorTarget,
+                    );
+                    match kind {
+                        // Lost, or arriving after the command timer:
+                        // retransmit.
+                        Some(sim::FaultKind::Drop) | Some(sim::FaultKind::Delay) => {
+                            self.stats.timeouts += 1;
+                            self.note_retry(&mut backoff);
+                            continue;
+                        }
+                        // A duplicate or reordered Data-In for a single
+                        // outstanding command needs no recovery: the
+                        // extra copy is discarded by ITT matching.
+                        Some(sim::FaultKind::Duplicate) | Some(sim::FaultKind::Reorder) => {
+                            self.stats.absorbed_anomalies += 1;
+                        }
+                        _ => {}
+                    }
+                    let mut rx = rx.expect("non-drop faults still deliver");
+                    (rx.payload_len() >= BHS_LEN).then(|| {
+                        rx.pull_into(&mut bhs);
+                        rx
+                    })
+                }
             };
-            match kind {
-                // Lost, or arriving after the command timer: retransmit.
-                Some(sim::FaultKind::Drop) | Some(sim::FaultKind::Delay) => {
-                    self.stats.timeouts += 1;
-                    self.note_retry(&mut backoff);
-                    continue;
-                }
-                // A duplicate or reordered Data-In for a single
-                // outstanding command needs no recovery: the extra copy
-                // is discarded by ITT matching.
-                Some(sim::FaultKind::Duplicate) | Some(sim::FaultKind::Reorder) => {
-                    self.stats.absorbed_anomalies += 1;
-                }
-                _ => {}
-            }
-            let mut rx = rx.expect("non-drop faults still deliver");
-            if rx.payload_len() >= BHS_LEN {
-                let hdr = rx.pull(BHS_LEN);
-                if let Ok(IscsiPdu::DataIn(d)) = IscsiPdu::decode(&hdr) {
+            if let Some(rx) = rx {
+                if let Ok(IscsiPdu::DataIn(d)) = IscsiPdu::decode(&bhs) {
                     if d.itt == itt && d.lbn == lbn && rx.payload_len() == BLOCK_SIZE {
                         return rx;
                     }
@@ -359,8 +396,10 @@ impl IscsiInitiator {
                 }
                 _ => {}
             }
-            let resp = self.target.borrow_mut().handle_command(cmd, vec![delivered]);
-            debug_assert_eq!(resp.len(), 1);
+            self.target
+                .borrow_mut()
+                .handle_command_into(cmd, vec![delivered], &mut self.replies);
+            debug_assert_eq!(self.replies.len(), 1);
             if matches!(kind, Some(sim::FaultKind::Delay)) {
                 // The burst arrived — and block writes are idempotent, so
                 // its effect is harmless — but the response missed the
@@ -369,7 +408,7 @@ impl IscsiInitiator {
                 self.note_retry(&mut backoff);
                 continue;
             }
-            if Self::command_failed(&resp).is_some() {
+            if Self::command_failed(&self.replies).is_some() {
                 // Transient device error or a damaged burst the target
                 // rejected: re-send everything.
                 self.stats.io_errors += 1;
@@ -381,14 +420,13 @@ impl IscsiInitiator {
     }
 }
 
-/// Builds a key-stamped placeholder block for a second-level cache hit.
-/// The block is junk plus a stamp, so it rides a recycled (zero-scrubbed)
-/// slab instead of a fresh allocation.
-fn placeholder_for(ledger: &CopyLedger, pool: &BufPool, lbn: Lbn) -> Segment {
-    ledger.charge_header_bytes(netbuf::key::KeyStamp::LEN as u64);
-    pool.seg_filled(BLOCK_SIZE, |junk| {
-        netbuf::key::KeyStamp::new().with_lbn(lbn).encode_into(junk);
-    })
+/// Builds the key-stamped placeholder block the file system gets for a
+/// cached block (hook 1 and the second-level cache hit alike). The block
+/// is junk plus a stamp, so it rides a recycled (zero-scrubbed) slab
+/// instead of a fresh allocation.
+fn placeholder_for(ledger: &CopyLedger, pool: &BufPool, stamp: KeyStamp) -> Segment {
+    ledger.charge_header_bytes(KeyStamp::LEN as u64);
+    pool.seg_filled(BLOCK_SIZE, |junk| stamp.encode_into(junk))
 }
 
 impl BlockStore for IscsiInitiator {
@@ -398,19 +436,18 @@ impl BlockStore for IscsiInitiator {
         // "most of these disk accesses are caught and serviced by a much
         // larger network-centric cache".
         if self.mode == ServerMode::NCache && class == BlockClass::Data {
-            let module = self.module.clone().expect("NCache mode has a module");
-            let mut m = module.borrow_mut();
-            if m.cache_mut().lookup(Lbn(lbn).into()).is_some() {
+            let module = self.module.as_ref().expect("NCache mode has a module");
+            if module.borrow_mut().cache_mut().touch(Lbn(lbn).into()) {
                 self.stats.second_level_hits += 1;
-                drop(m);
                 self.recorder.emit(obs::EventKind::CacheAccess {
                     tier: "ncache",
                     hit: true,
                 });
-                return placeholder_for(&self.ledger, &self.pool, Lbn(lbn));
+                let stamp = KeyStamp::new().with_lbn(Lbn(lbn));
+                return placeholder_for(&self.ledger, &self.pool, stamp);
             }
         }
-        self.io_log.push(IoRecord {
+        self.log_io(IoRecord {
             lbn,
             is_write: false,
             class,
@@ -425,8 +462,9 @@ impl BlockStore for IscsiInitiator {
                 let segs = pdu.take_payload();
                 let result = module.borrow_mut().on_data_in(Lbn(lbn), segs, BLOCK_SIZE);
                 match result {
-                    Ok(placeholder) => {
+                    Ok(stamp) => {
                         self.stats.zero_copy_reads += 1;
+                        let placeholder = placeholder_for(&self.ledger, &self.pool, stamp);
                         self.drain_module_writebacks();
                         placeholder
                     }
@@ -459,7 +497,7 @@ impl BlockStore for IscsiInitiator {
     }
 
     fn write_block(&mut self, lbn: u64, class: BlockClass, data: &Segment) {
-        self.io_log.push(IoRecord {
+        self.log_io(IoRecord {
             lbn,
             is_write: true,
             class,
@@ -518,12 +556,8 @@ mod tests {
         let storage_ledger = CopyLedger::new();
         let app_ledger = CopyLedger::new();
         let target = sim::Shared::new(IscsiTarget::new(4096, &storage_ledger));
-        let module = (mode == ServerMode::NCache).then(|| {
-            sim::Shared::new(NcacheModule::new(
-                NcacheConfig::with_capacity(cache_bytes),
-                &app_ledger,
-            ))
-        });
+        let module = (mode == ServerMode::NCache)
+            .then(|| sim::Shared::new(NcacheModule::new(NcacheConfig::with_capacity(cache_bytes))));
         let init = IscsiInitiator::new(target.clone(), &app_ledger, mode, module);
         (init, target, app_ledger)
     }

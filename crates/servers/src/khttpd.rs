@@ -410,19 +410,20 @@ impl KhttpdServer {
             return;
         }
         let mut tracker = HttpTxTracker::new();
-        let parts = tracker.feed(header);
-        debug_assert_eq!(parts, vec![TxDisposition::Header(header.len())]);
+        tracker.feed_with(header, |d| {
+            debug_assert_eq!(d, TxDisposition::Header(header.len()));
+        });
         // Body bytes classified without materializing them.
         let zeros = [0u8; 4096];
         let mut remaining = body_len;
         let mut body_seen = 0usize;
         while remaining > 0 {
             let take = remaining.min(zeros.len());
-            for d in tracker.feed(&zeros[..take]) {
+            tracker.feed_with(&zeros[..take], |d| {
                 if let TxDisposition::Body(n) = d {
                     body_seen += n;
                 }
-            }
+            });
             remaining -= take;
         }
         debug_assert_eq!(body_seen, body_len, "tracker found the boundary");
@@ -496,10 +497,9 @@ mod tests {
         let storage = CopyLedger::new();
         let target = sim::Shared::new(IscsiTarget::new(16 << 10, &storage));
         let module = (mode == ServerMode::NCache).then(|| {
-            sim::Shared::new(NcacheModule::new(
-                ncache::NcacheConfig::with_capacity(8 << 20),
-                &app,
-            ))
+            sim::Shared::new(NcacheModule::new(ncache::NcacheConfig::with_capacity(
+                8 << 20,
+            )))
         });
         let initiator =
             crate::initiator::IscsiInitiator::new(target, &app, mode, module.clone());

@@ -23,7 +23,7 @@ use proto::nfs::{
 use proto::rpc::{RpcCall, RpcReply, CALL_LEN};
 use simfs::fs::LogicalBlock;
 use simfs::inode::FileType;
-use simfs::{Filesystem, FsError, Ino};
+use simfs::{Filesystem, FsError, Ino, LogicalWriteError};
 
 use crate::control::{ControlConfig, ControlPlane, ControlStats, Decision, OpClass, Pressure};
 use crate::initiator::IscsiInitiator;
@@ -187,6 +187,23 @@ const DRC_CAPACITY: usize = 128;
 /// Non-idempotent procedures must not be re-executed on retransmission.
 fn non_idempotent(proc: u32) -> bool {
     matches!(proc, nfs::proc::WRITE | nfs::proc::CREATE | nfs::proc::REMOVE)
+}
+
+/// Drops the FHO chunks of the stamps a failed logical write left named by
+/// no placeholder (see [`LogicalWriteError::unnamed`]) and returns the
+/// error. A dirty FHO chunk is never evicted, only remapped by the flush
+/// of its placeholder; without one it would pin the network-centric cache
+/// for good.
+fn drop_unnamed(
+    module: &sim::Shared<NcacheModule>,
+    failed: LogicalWriteError,
+    stamps: &[KeyStamp],
+) -> FsError {
+    let mut m = module.borrow_mut();
+    for fho in stamps[failed.unnamed].iter().filter_map(|s| s.fho) {
+        m.cache_mut().invalidate(fho.into());
+    }
+    failed.error
 }
 
 /// Admission class per procedure: the control plane sheds write-side
@@ -638,7 +655,8 @@ impl NfsServer {
             }
         }
         self.fs
-            .write_logical(ino, aligned_start, merged.len(), &stamps)?;
+            .write_logical(ino, aligned_start, merged.len(), &stamps)
+            .map_err(|e| drop_unnamed(&module, e, &stamps))?;
         // The logical span may extend the file past the true end; restore
         // the correct size if the write did not actually grow it.
         let true_end = (offset + count as u64).max(size);
@@ -1142,7 +1160,9 @@ impl NfsServer {
                         }
                     }
                     if admitted {
-                        self.fs.write_logical(ino, offset, count, &stamps)
+                        self.fs
+                            .write_logical(ino, offset, count, &stamps)
+                            .map_err(|e| drop_unnamed(&module, e, &stamps))
                     } else {
                         // Cache full: fall back to the copying path. The
                         // wire segments are still shared by `groups`.
@@ -1167,7 +1187,9 @@ impl NfsServer {
                 // Copies removed outright: junk blocks, metadata updated.
                 let blocks = count.div_ceil(BLOCK);
                 let stamps = vec![KeyStamp::new(); blocks];
-                self.fs.write_logical(ino, offset, count, &stamps)
+                self.fs
+                    .write_logical(ino, offset, count, &stamps)
+                    .map_err(FsError::from)
             }
         };
 
@@ -1570,7 +1592,6 @@ mod tests {
         let module = (mode == ServerMode::NCache).then(|| {
             sim::Shared::new(ncache::NcacheModule::new(
                 ncache::NcacheConfig::with_capacity(8 << 20),
-                &app,
             ))
         });
         let initiator =

@@ -140,6 +140,31 @@ pub fn deliver(sent: &NetBuf, receiver: &CopyLedger) -> NetBuf {
     rx
 }
 
+/// Delivers a frame the sender hands over and parses its header in place:
+/// the same charges, in the same order, as [`deliver`] followed by
+/// [`NetBuf::pull_into`] of `head` on the result. The header bytes go
+/// straight from the sender's header area into `head` (a fixed receive
+/// area, typically on the stack) and the payload segments move out of
+/// `sent` instead of being shared, so the delivery touches no heap. The
+/// returned buffer holds the payload alone.
+///
+/// # Panics
+///
+/// Panics unless `head` is exactly as long as the sent header.
+pub fn deliver_pulled(sent: &mut NetBuf, receiver: &CopyLedger, head: &mut [u8]) -> NetBuf {
+    let mut rx = NetBuf::new(receiver);
+    head.copy_from_slice(sent.header());
+    if !head.is_empty() {
+        // The header lands as the frame's leading bytes, like `deliver`'s
+        // header segment.
+        receiver.charge_logical_copy();
+    }
+    rx.append_segments(sent.take_payload());
+    // ... and is pulled back off, like `pull_into`.
+    receiver.charge_header_bytes(head.len() as u64);
+    rx
+}
+
 /// Delivers a transmitted buffer through a faulty link.
 ///
 /// Draws one fault decision from `plan` for `link` and applies it to the
@@ -354,6 +379,59 @@ mod tests {
             Ok(IscsiPdu::DataIn(data_in))
         );
         check_body(&rx);
+    }
+
+    #[test]
+    fn pulled_delivery_matches_deliver_then_pull() {
+        use proto::iscsi::{DataIn, BHS_LEN};
+        let body = [
+            Segment::from_vec(vec![1; 1000]),
+            Segment::from_vec(vec![2; 3096]),
+        ];
+        let bhs = DataIn {
+            itt: 5,
+            lbn: 9,
+            data_len: 4096,
+            is_final: true,
+        }
+        .encode();
+        let sent = |ledger: &CopyLedger| {
+            let mut pkt = NetBuf::new(ledger);
+            for seg in &body {
+                pkt.append_segment(seg.clone());
+            }
+            pkt.push_header(&bhs);
+            pkt
+        };
+        let (tx, old_rx, new_rx) = (CopyLedger::new(), CopyLedger::new(), CopyLedger::new());
+
+        let mut old = deliver(&sent(&tx), &old_rx);
+        let mut old_head = [0u8; BHS_LEN];
+        old.pull_into(&mut old_head);
+
+        let mut pkt = sent(&tx);
+        let mut new_head = [0u8; BHS_LEN];
+        let new = deliver_pulled(&mut pkt, &new_rx, &mut new_head);
+
+        assert_eq!(new_head, old_head);
+        assert_eq!(new_rx.snapshot(), old_rx.snapshot(), "identical charges");
+        assert_eq!(new.copy_payload_to_vec(), old.copy_payload_to_vec());
+        assert!(new.segments().zip(&body).all(|(a, b)| a.same_storage(b)));
+        assert!(new.ledger().same_ledger(&new_rx));
+        assert_eq!(
+            pkt.payload_len(),
+            0,
+            "the payload moved out of the sent frame"
+        );
+    }
+
+    #[test]
+    #[should_panic]
+    fn pulled_delivery_needs_a_header_sized_area() {
+        let ledger = CopyLedger::new();
+        let mut pkt = NetBuf::new(&ledger);
+        pkt.push_header(&[1, 2, 3]);
+        deliver_pulled(&mut pkt, &ledger, &mut [0u8; 2]);
     }
 
     #[test]

@@ -171,24 +171,47 @@ impl IscsiTarget {
     /// Panics on out-of-range addresses or mismatched Data-Out payloads —
     /// initiator bugs, not runtime conditions.
     pub fn handle_command(&mut self, cmd: ScsiCommand, data_out: Vec<NetBuf>) -> Vec<NetBuf> {
+        let mut out = Vec::new();
+        self.handle_command_into(cmd, data_out, &mut out);
+        out
+    }
+
+    /// [`IscsiTarget::handle_command`] into a caller-owned result list,
+    /// cleared first: an initiator that keeps one list exchanges commands
+    /// without allocating a result per command.
+    ///
+    /// # Panics
+    ///
+    /// As [`IscsiTarget::handle_command`].
+    pub fn handle_command_into(
+        &mut self,
+        cmd: ScsiCommand,
+        data_out: Vec<NetBuf>,
+        out: &mut Vec<NetBuf>,
+    ) {
         assert!(
             cmd.lbn + u64::from(cmd.blocks) <= self.block_count,
             "I/O beyond end of volume"
         );
+        out.clear();
         if self.faults.as_mut().is_some_and(|f| f.next_io_fails()) {
             // The device transiently failed the whole command; the
             // initiator sees a non-zero status and retries.
             self.stats.io_errors += 1;
-            return vec![self.response(cmd.itt, STATUS_IO_ERROR)];
+            out.push(self.response(cmd.itt, STATUS_IO_ERROR));
+            return;
         }
         match cmd.op {
             ScsiOp::Read => {
                 assert!(data_out.is_empty(), "read commands carry no Data-Out");
                 self.stats.read_cmds += 1;
-                let mut out = Vec::with_capacity(cmd.blocks as usize + 1);
+                out.reserve(cmd.blocks as usize + 1);
                 for i in 0..u64::from(cmd.blocks) {
                     let lbn = cmd.lbn + i;
                     let mut pdu = NetBuf::new(&self.ledger);
+                    // One payload segment. Its chain becomes the cached
+                    // chunk's segment list under NCache, so size it exactly.
+                    pdu.reserve_segments(1);
                     // Disk buffer → outgoing network buffer: the storage
                     // server's copy, charged to its CPU.
                     match self.image.get(&lbn) {
@@ -210,21 +233,21 @@ impl IscsiTarget {
                     out.push(pdu);
                 }
                 out.push(self.response(cmd.itt, 0));
-                out
             }
             ScsiOp::Write => {
                 self.stats.write_cmds += 1;
-                match self.apply_data_out(&cmd, data_out) {
-                    Ok(()) => vec![self.response(cmd.itt, 0)],
+                let status = match self.apply_data_out(&cmd, data_out) {
+                    Ok(()) => 0,
                     // Under fault injection a damaged burst is a runtime
                     // condition: reject it and let the initiator resend.
                     Err(_why) if self.lenient => {
                         self.stats.bad_write_bursts += 1;
-                        vec![self.response(cmd.itt, STATUS_PROTOCOL_ERROR)]
+                        STATUS_PROTOCOL_ERROR
                     }
                     // On a perfect link it is an initiator bug.
                     Err(why) => panic!("{why}"),
-                }
+                };
+                out.push(self.response(cmd.itt, status));
             }
         }
     }
@@ -241,7 +264,8 @@ impl IscsiTarget {
             if pdu.total_len() < BHS_LEN {
                 return Err("Data-Out truncated below a BHS".into());
             }
-            let hdr = pdu.pull(BHS_LEN);
+            let mut hdr = [0u8; BHS_LEN];
+            pdu.pull_into(&mut hdr);
             let decoded = match IscsiPdu::decode(&hdr) {
                 Ok(p) => p,
                 Err(e) => return Err(format!("undecodable Data-Out header: {e:?}")),

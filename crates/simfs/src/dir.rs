@@ -51,16 +51,31 @@ pub fn entries_in_block(block: &[u8]) -> Vec<DirEntry> {
 
 /// Decodes the entry in one 32-byte slot; `None` if the slot is free.
 pub fn decode_entry(slot: &[u8]) -> Option<DirEntry> {
-    let len = slot[0] as usize;
-    if len == 0 || len > NAME_MAX {
-        return None;
-    }
-    let name = std::str::from_utf8(&slot[1..1 + len]).ok()?.to_string();
-    let ino = u32::from_le_bytes(slot[NAME_MAX + 1..NAME_MAX + 5].try_into().expect("4 bytes"));
     Some(DirEntry {
-        name,
-        ino: Ino(ino),
+        name: live_name(slot)?.to_string(),
+        ino: slot_ino(slot),
     })
+}
+
+/// The name bytes a slot's length byte claims: `None` for a length of 0
+/// or past [`NAME_MAX`].
+fn name_bytes(slot: &[u8]) -> Option<&[u8]> {
+    let len = slot[0] as usize;
+    (1..=NAME_MAX).contains(&len).then(|| &slot[1..1 + len])
+}
+
+/// The name of a live slot, borrowed from the block; `None` if the slot is
+/// free (a bad length, or a name that is not UTF-8).
+fn live_name(slot: &[u8]) -> Option<&str> {
+    std::str::from_utf8(name_bytes(slot)?).ok()
+}
+
+fn slot_ino(slot: &[u8]) -> Ino {
+    Ino(u32::from_le_bytes(
+        slot[NAME_MAX + 1..NAME_MAX + 5]
+            .try_into()
+            .expect("4 bytes"),
+    ))
 }
 
 /// Writes `entry` into slot `slot_idx` of `block`.
@@ -91,23 +106,22 @@ pub fn clear_entry(block: &mut [u8], slot_idx: usize) {
     block[at..at + ENTRY_SIZE].fill(0);
 }
 
-/// Finds `name` in a directory block, returning its slot index and entry.
-pub fn find_in_block(block: &[u8], name: &str) -> Option<(usize, DirEntry)> {
-    for (i, slot) in block.chunks_exact(ENTRY_SIZE).enumerate() {
-        if let Some(e) = decode_entry(slot) {
-            if e.name == name {
-                return Some((i, e));
-            }
-        }
-    }
-    None
+/// Finds `name` in a directory block, returning its slot index and inode.
+/// Names are compared as bytes, in place: a slot whose name bytes equal a
+/// `&str` is valid UTF-8, so this matches exactly the slots that decode
+/// to `name`, and nothing is allocated.
+pub fn find_in_block(block: &[u8], name: &str) -> Option<(usize, Ino)> {
+    block
+        .chunks_exact(ENTRY_SIZE)
+        .position(|slot| name_bytes(slot) == Some(name.as_bytes()))
+        .map(|i| (i, slot_ino(&block[i * ENTRY_SIZE..])))
 }
 
 /// Finds the first free slot in a directory block.
 pub fn free_slot(block: &[u8]) -> Option<usize> {
     block
         .chunks_exact(ENTRY_SIZE)
-        .position(|slot| decode_entry(slot).is_none())
+        .position(|slot| live_name(slot).is_none())
 }
 
 #[cfg(test)]
@@ -126,7 +140,7 @@ mod tests {
         encode_entry(&mut block, 3, &e);
         assert_eq!(decode_entry(&block[3 * ENTRY_SIZE..4 * ENTRY_SIZE]), Some(e.clone()));
         assert_eq!(entries_in_block(&block), vec![e.clone()]);
-        assert_eq!(find_in_block(&block, "hello.txt"), Some((3, e)));
+        assert_eq!(find_in_block(&block, "hello.txt"), Some((3, e.ino)));
         assert_eq!(find_in_block(&block, "missing"), None);
     }
 
@@ -210,7 +224,7 @@ mod tests {
             let mut block = vec![0u8; BLOCK_SIZE];
             let e = DirEntry { name, ino: Ino(ino) };
             encode_entry(&mut block, slot, &e);
-            prop_assert_eq!(find_in_block(&block, &e.name), Some((slot, e.clone())));
+            prop_assert_eq!(find_in_block(&block, &e.name), Some((slot, e.ino)));
         }
     }
 }

@@ -60,3 +60,25 @@ mod tests {
         assert!(e.to_string().contains("space"));
     }
 }
+
+/// A failed [`crate::Filesystem::write_logical`]: the error, and which of
+/// the stamps are certain to be named by no placeholder in the file
+/// system. Whatever those stamps refer to is the caller's to drop: no
+/// flush will ever reach it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LogicalWriteError {
+    /// What went wrong.
+    pub error: FsError,
+    /// Indices of the stamps no placeholder names: all of them when the
+    /// inode names no regular file, the one whose block could not be
+    /// allocated when the volume filled, none otherwise. (A stamp past a
+    /// failed block was never planted, but a block of the file may hold
+    /// an older placeholder with the same keys.)
+    pub unnamed: std::ops::Range<usize>,
+}
+
+impl From<LogicalWriteError> for FsError {
+    fn from(e: LogicalWriteError) -> Self {
+        e.error
+    }
+}

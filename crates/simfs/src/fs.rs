@@ -9,7 +9,7 @@ use netbuf::{CopyLedger, NetBuf, Segment};
 use crate::alloc::Bitmap;
 use crate::cache::{BufferCache, CacheStats, Writeback};
 use crate::dir::{self, DirEntry};
-use crate::error::FsError;
+use crate::error::{FsError, LogicalWriteError};
 use crate::inode::{
     block_path, BlockPath, FileType, Ino, Inode, INODES_PER_BLOCK, INODE_SIZE, NO_BLOCK,
     PTRS_PER_BLOCK,
@@ -366,7 +366,7 @@ impl<S: BlockStore> Filesystem<S> {
             return Err(FsError::NotADirectory);
         }
         match self.dir_find(&dnode, name)? {
-            Some((_, _, e)) => Ok(e.ino),
+            Some((_, _, ino)) => Ok(ino),
             None => Err(FsError::NotFound),
         }
     }
@@ -412,8 +412,8 @@ impl<S: BlockStore> Filesystem<S> {
         if dnode.ftype != FileType::Directory {
             return Err(FsError::NotADirectory);
         }
-        let (blk_idx, slot, entry) = self.dir_find(&dnode, name)?.ok_or(FsError::NotFound)?;
-        let victim = self.load_inode(entry.ino)?;
+        let (blk_idx, slot, ino) = self.dir_find(&dnode, name)?.ok_or(FsError::NotFound)?;
+        let victim = self.load_inode(ino)?;
         if victim.ftype != FileType::Regular {
             return Err(FsError::NotAFile);
         }
@@ -427,13 +427,13 @@ impl<S: BlockStore> Filesystem<S> {
         self.write_block_cached(lbn, BlockClass::Meta, Segment::from_vec(block));
         // Free the file's storage.
         self.free_file_blocks(&victim)?;
-        let table_lbn = self.inode_lbn(entry.ino);
+        let table_lbn = self.inode_lbn(ino);
         let seg = self.read_block_cached(table_lbn, BlockClass::Meta);
         let mut block = seg.as_slice().to_vec();
-        let at = (entry.ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
+        let at = (ino.0 as usize % INODES_PER_BLOCK) * INODE_SIZE;
         block[at..at + INODE_SIZE].fill(0);
         self.write_block_cached(table_lbn, BlockClass::Meta, Segment::from_vec(block));
-        self.ibitmap.free(u64::from(entry.ino.0));
+        self.ibitmap.free(u64::from(ino.0));
         Ok(())
     }
 
@@ -802,27 +802,43 @@ impl<S: BlockStore> Filesystem<S> {
     ///
     /// [`FsError::InvalidRange`] if `offset` is not block-aligned or
     /// `stamps` does not cover `len`; the rest as [`Filesystem::write`].
+    /// The error also says which stamps no placeholder names.
     pub fn write_logical(
         &mut self,
         ino: Ino,
         offset: u64,
         len: usize,
         stamps: &[KeyStamp],
-    ) -> Result<(), FsError> {
+    ) -> Result<(), LogicalWriteError> {
+        let failed = |error, unnamed| LogicalWriteError { error, unnamed };
         if !offset.is_multiple_of(BLOCK_SIZE as u64) {
-            return Err(FsError::InvalidRange);
+            return Err(failed(FsError::InvalidRange, 0..0));
         }
         let nblocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
         if stamps.len() as u64 != nblocks {
-            return Err(FsError::InvalidRange);
+            return Err(failed(FsError::InvalidRange, 0..0));
         }
-        let mut inode = self.load_inode(ino)?;
+        // No regular file, no block of it that could hold a placeholder.
+        let mut inode = self
+            .load_inode(ino)
+            .map_err(|e| failed(e, 0..stamps.len()))?;
         if inode.ftype != FileType::Regular {
-            return Err(FsError::NotAFile);
+            return Err(failed(FsError::NotAFile, 0..stamps.len()));
         }
         let first = offset / BLOCK_SIZE as u64;
         for (i, stamp) in stamps.iter().enumerate() {
-            let (lbn, _) = self.map_block_alloc(ino, &mut inode, first + i as u64)?;
+            let (lbn, _) = self
+                .map_block_alloc(ino, &mut inode, first + i as u64)
+                .map_err(|e| {
+                    // A full volume left this block unallocated: nothing
+                    // can name its stamp.
+                    let unnamed = if e == FsError::NoSpace {
+                        i..i + 1
+                    } else {
+                        i..i
+                    };
+                    failed(e, unnamed)
+                })?;
             // Stamp the block with its LBN identity as well: after the
             // flush remaps the FHO entry into the LBN cache, replies
             // composed from this placeholder must still resolve (§3.4's
@@ -843,6 +859,7 @@ impl<S: BlockStore> Filesystem<S> {
         }
         inode.mtime += 1;
         self.store_inode(ino, &inode)
+            .map_err(|e| failed(e, stamps.len()..stamps.len()))
     }
 
     /// Allocates blocks for `[0, size)` and sets the file size *without
@@ -1192,12 +1209,12 @@ impl<S: BlockStore> Filesystem<S> {
         &mut self,
         dnode: &Inode,
         name: &str,
-    ) -> Result<Option<(u64, usize, DirEntry)>, FsError> {
+    ) -> Result<Option<(u64, usize, Ino)>, FsError> {
         for idx in 0..dnode.size_blocks() {
             if let Some(lbn) = self.map_block_mut(dnode, idx)? {
                 let seg = self.read_block_cached(lbn, BlockClass::Meta);
-                if let Some((slot, e)) = dir::find_in_block(seg.as_slice(), name) {
-                    return Ok(Some((idx, slot, e)));
+                if let Some((slot, ino)) = dir::find_in_block(seg.as_slice(), name) {
+                    return Ok(Some((idx, slot, ino)));
                 }
             }
         }
@@ -1631,15 +1648,46 @@ mod tests {
         let mut fs = newfs();
         let f = fs.create(Fs::ROOT, "f").expect("create");
         let stamp = KeyStamp::new().with_lbn(Lbn(1));
+        let invalid = Err(LogicalWriteError {
+            error: FsError::InvalidRange,
+            unnamed: 0..0,
+        });
         assert_eq!(
             fs.write_logical(f, 1, BLOCK_SIZE, &[stamp]),
-            Err(FsError::InvalidRange),
+            invalid,
             "unaligned offset"
         );
         assert_eq!(
             fs.write_logical(f, 0, 2 * BLOCK_SIZE, &[stamp]),
-            Err(FsError::InvalidRange),
+            invalid,
             "stamp count mismatch"
+        );
+    }
+
+    #[test]
+    fn write_logical_reports_the_stamps_no_placeholder_names() {
+        let mut fs = newfs();
+        let stamp = KeyStamp::new().with_lbn(Lbn(1));
+        // A handle that names no regular file: none of them.
+        assert_eq!(
+            fs.write_logical(Fs::ROOT, 0, 2 * BLOCK_SIZE, &[stamp; 2]),
+            Err(LogicalWriteError {
+                error: FsError::NotAFile,
+                unnamed: 0..2,
+            })
+        );
+        // A volume that fills mid-write: the block that found no room.
+        let f = fs.create(Fs::ROOT, "f").expect("create");
+        let blocks = fs.free_blocks() as usize + 8;
+        let stamps = vec![stamp; blocks];
+        let err = fs
+            .write_logical(f, 0, blocks * BLOCK_SIZE, &stamps)
+            .expect_err("the volume fills");
+        assert_eq!(err.error, FsError::NoSpace);
+        assert_eq!(err.unnamed.len(), 1, "{err:?}");
+        assert!(
+            err.unnamed.start > 0,
+            "earlier stamps were planted: {err:?}"
         );
     }
 

@@ -36,7 +36,7 @@ pub mod inode;
 pub mod store;
 
 pub use cache::{take_op_tally, BufferCache};
-pub use error::FsError;
+pub use error::{FsError, LogicalWriteError};
 pub use fs::{Filesystem, FsParams};
 pub use inode::{FileType, Ino};
 pub use store::{BlockClass, BlockStore, MemStore, TraceStore};

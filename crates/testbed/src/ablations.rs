@@ -52,7 +52,7 @@ pub fn ablation_mechanisms(hot_file: u64) -> SeriesTable {
             let mut config = m.config();
             config.substitution = substitution;
             config.csum_inherit = csum_inherit;
-            *m = ncache::NcacheModule::new(config, &rig.ledgers().app);
+            *m = ncache::NcacheModule::new(config);
         }
         let fh = rig.create_file("hot", hot_file);
         for op in seq_reads(fh, hot_file, 32 << 10) {

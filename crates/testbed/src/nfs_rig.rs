@@ -331,7 +331,6 @@ impl NfsRig {
         let module = (mode == ServerMode::NCache).then(|| {
             sim::Shared::new(NcacheModule::new(
                 NcacheConfig::with_capacity(params.ncache_bytes).with_shards(params.shards),
-                &ledgers.app,
             ))
         });
         let initiator = IscsiInitiator::new(

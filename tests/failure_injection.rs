@@ -189,6 +189,48 @@ fn ncache_under_extreme_memory_pressure_stays_correct() {
     }
 }
 
+#[test]
+fn writes_to_bogus_handles_pin_nothing_in_ncache() {
+    // An aligned NCache WRITE parks its blocks in the FHO cache before the
+    // file system resolves the handle. When the handle names no regular
+    // file (a never-created inode, or the root directory), no placeholder
+    // will ever name those dirty chunks, so no flush can remap them: they
+    // must be dropped with the error reply, or a stream of such requests
+    // fills NCache for good and a later valid WRITE loses its zero-copy
+    // path. The cache holds 16 chunks; the bogus writes park 400.
+    let params = NfsRigParams {
+        ncache_bytes: 16 * (4096 + 128),
+        ..NfsRigParams::default()
+    };
+    let mut rig = NfsRig::new(ServerMode::NCache, params);
+    let fh = rig.create_file("real", 32 << 10);
+    let module = rig.module().expect("NCache build");
+    let baseline = module.borrow().pinned_bytes();
+    for i in 0..50u32 {
+        let bogus = if i % 2 == 0 { 0xDEAD } else { 0 };
+        let reply = rig.write(bogus, (i % 4) * (32 << 10), &[i as u8; 32 << 10]);
+        assert_ne!(reply.status, NFS_OK, "write {i} to handle {bogus:#x}");
+        assert_eq!(
+            module.borrow().pinned_bytes(),
+            baseline,
+            "write {i} to handle {bogus:#x} left chunks pinned"
+        );
+    }
+    let data = vec![0x5A; 32 << 10];
+    let before = rig.ledgers().app.snapshot();
+    assert_eq!(rig.write(fh, 0, &data).status, NFS_OK);
+    assert_eq!(
+        rig.ledgers()
+            .app
+            .snapshot()
+            .delta_since(&before)
+            .payload_copies,
+        0,
+        "the valid write is admitted zero-copy"
+    );
+    assert_eq!(rig.read(fh, 0, 32 << 10), data);
+}
+
 #[global_allocator]
 static ALLOC: check::alloc::Counting = check::alloc::Counting;
 

@@ -5,14 +5,14 @@
 //! as sk_buff-style buffers, byte for byte and copy for copy.
 
 use ncache_repro::ncache::{NcacheConfig, NcacheModule};
-use ncache_repro::netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
+use ncache_repro::netbuf::key::{Fho, FileHandle, Lbn};
 use ncache_repro::netbuf::mbuf::{MbufChain, MCLBYTES};
 use ncache_repro::netbuf::{CopyLedger, NetBuf, Segment};
 
 #[test]
 fn mbuf_payload_caches_and_substitutes_without_copies() {
     let ledger = CopyLedger::new();
-    let mut module = NcacheModule::new(NcacheConfig::with_capacity(1 << 22), &ledger);
+    let mut module = NcacheModule::new(NcacheConfig::with_capacity(1 << 22));
 
     // A block arrives as a FreeBSD mbuf chain: two clusters.
     let pattern: Vec<u8> = (0..4096u32).map(|x| (x * 7) as u8).collect();
@@ -28,20 +28,19 @@ fn mbuf_payload_caches_and_substitutes_without_copies() {
     // physical copy.
     let before = ledger.snapshot();
     let segs = arrival.share_segments(&ledger);
-    let placeholder = module.on_data_in(Lbn(42), segs, 4096).expect("fits");
+    let stamp = module.on_data_in(Lbn(42), segs, 4096).expect("fits");
     assert_eq!(
         ledger.snapshot().delta_since(&before).payload_copies,
         0,
         "caching an mbuf payload moves no bytes"
     );
-    assert_eq!(
-        KeyStamp::decode(placeholder.as_slice()).expect("stamped").lbn,
-        Some(Lbn(42))
-    );
+    assert_eq!(stamp.lbn, Some(Lbn(42)));
+    let mut placeholder = vec![0u8; 4096];
+    stamp.encode_into(&mut placeholder);
 
     // An outgoing sk_buff-style reply substitutes the mbuf-born chunk.
     let mut reply = NetBuf::new(&ledger);
-    reply.append_segment(placeholder);
+    reply.append_segment(Segment::from_vec(placeholder));
     let report = module.on_transmit(&mut reply);
     assert_eq!(report.substituted, 1);
     assert_eq!(reply.copy_payload_to_vec(), pattern, "bytes intact across flavours");
@@ -50,7 +49,7 @@ fn mbuf_payload_caches_and_substitutes_without_copies() {
 #[test]
 fn mbuf_write_path_remaps_like_sk_buff() {
     let ledger = CopyLedger::new();
-    let mut module = NcacheModule::new(NcacheConfig::with_capacity(1 << 22), &ledger);
+    let mut module = NcacheModule::new(NcacheConfig::with_capacity(1 << 22));
 
     // An NFS write arrives as an mbuf chain.
     let fresh = vec![0xB7u8; 4096];

@@ -12,7 +12,7 @@ use check::{prop_assert, prop_assert_eq, property};
 
 use ncache_repro::ncache::{NcacheConfig, NcacheModule, CHUNK_PAYLOAD};
 use ncache_repro::netbuf::key::{Fho, FileHandle, KeyStamp, Lbn};
-use ncache_repro::netbuf::{CopyLedger, Segment};
+use ncache_repro::netbuf::Segment;
 use ncache_repro::proto::nfs::NFS_OK;
 use ncache_repro::servers::nfs::NfsClient;
 use ncache_repro::servers::ServerMode;
@@ -36,12 +36,10 @@ fn placeholder(stamp: KeyStamp) -> Vec<u8> {
 /// write-back.
 #[test]
 fn flush_remaps_dirty_fho_before_any_lbn_writeback() {
-    let ledger = CopyLedger::new();
     // Room for ~6 chunks: three dirty FHO entries plus a little slack.
-    let mut m = NcacheModule::new(
-        NcacheConfig::with_capacity(6 * (CHUNK_PAYLOAD as u64 + 64)),
-        &ledger,
-    );
+    let mut m = NcacheModule::new(NcacheConfig::with_capacity(
+        6 * (CHUNK_PAYLOAD as u64 + 64),
+    ));
 
     // Three dirty writes land in the FHO half of the cache.
     let mut stamps = Vec::new();
@@ -99,8 +97,7 @@ fn flush_remaps_dirty_fho_before_any_lbn_writeback() {
 /// from the remapped LBN entry.
 #[test]
 fn read_after_flush_hits_remapped_lbn_with_fresh_bytes() {
-    let ledger = CopyLedger::new();
-    let mut m = NcacheModule::new(NcacheConfig::with_capacity(1 << 20), &ledger);
+    let mut m = NcacheModule::new(NcacheConfig::with_capacity(1 << 20));
     let fho = Fho::new(FileHandle(3), 0);
     let stamp = m.on_nfs_write(fho, chunk(0xEE), CHUNK_PAYLOAD).expect("fits");
     let lbn = Lbn(77);
